@@ -40,8 +40,8 @@ from .regression import (
     partial_out_identity_check,
 )
 from .spectral import (
-    DEFAULT_RANK_TOL_SCALE,
     SymOperator,
+    _resolve_rank_tol_scale,
     eig_sym,
     frob,
     invertible_left_factor,
@@ -268,7 +268,7 @@ def check_spectral(
         pivot.add(1e-12 * frob(u) / lu_min_pivot(u), 1.0)
 
     props = [recon, resid, ortho, img_norm, comple, idem, sq, half_ids, factor, pivot]
-    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
     return CheckReport(
         "spectral", trials, seed, scale,
         tuple(w.result() for w in props), time.perf_counter() - t0,
@@ -420,7 +420,7 @@ def check_conditioning(
         indep, partition, recon, anova, reduction, null_match, char_adj,
         marginals, support, indep_sym, decorr, tower, stat_indep, suff,
     ]
-    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
     return CheckReport(
         "conditioning", trials, seed, scale,
         tuple(w.result() for w in props), time.perf_counter() - t0,
@@ -439,7 +439,7 @@ def check_oracle(
     cutoff = _Worst("cutoff_stability")
     mc_prior = _Worst("mc_prior_moments")
 
-    base_scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    base_scale = _resolve_rank_tol_scale(rank_tol_scale)
 
     for _ in range(trials):
         g, t = random_conditioning_instance(rng)
@@ -550,7 +550,7 @@ def check_regression(
         degen.add(partial_out_identity_check(g_deg, y_state, rank_tol_scale), 1e-8)
 
     props = [update, identity, degen, cross]
-    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
     return CheckReport(
         "regression", trials, seed, scale,
         tuple(w.result() for w in props), time.perf_counter() - t0,

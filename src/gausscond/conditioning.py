@@ -26,6 +26,7 @@ from .spectral import (
     LinearMap,
     Projector,
     SymOperator,
+    _resolve_rank_tol_scale,
     as_linear_map,
     frob,
     invertible_left_factor,
@@ -129,7 +130,7 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
     cov_entries = root @ p_null @ root
     cov = _psd_clamped((cov_entries + cov_entries.T) / 2.0, rank_tol_scale, frob(root) ** 2)
     prior_null = Projector(d_dec.null_projector_matrix(), g.dim - d_dec.rank)
-    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
     return ConditionalLaw(g.mean, gain, cov, prior_null, scale)
 
 
@@ -186,7 +187,7 @@ def decompose(g: Gaussian, t, rank_tol_scale: float | None = None) -> Decomposit
         affine_gain = root @ u @ s.entries.T
     affine_offset = (np.eye(g.dim) - affine_gain @ tm.entries) @ (null_d @ g.mean)
 
-    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
     return Decomposition(m_map, affine_gain, affine_offset, s, p_null, p_row, scale)
 
 

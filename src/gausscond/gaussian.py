@@ -6,10 +6,10 @@ citizen. The law is pinned down by its characteristic function, pushed
 forward through linear maps, and sampled by whitening: mu + D^(1/2) Z with
 Z standard normal.
 
-Sampling is reproducible across platforms: uniforms come from numpy's
-PCG64 stream for the given seed and are turned into normals with the
-Box-Muller transform, so identical (seed, count, model) gives identical
-rows everywhere.
+Sampling is reproducible: uniforms come from numpy's PCG64 stream for the
+given seed and are turned into normals with the Box-Muller transform, so
+identical (seed, count, model) gives rows identical on one numpy/BLAS
+build and equal to rounding across builds.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import DimError, InvalidInput, NotPositive
 from .spectral import (
-    DEFAULT_RANK_TOL_SCALE,
     EPS,
     SymOperator,
+    _resolve_rank_tol_scale,
     as_linear_map,
     as_sym_operator,
     frob,
@@ -139,7 +139,7 @@ def _psd_clamped(
     low = float(dec.eigenvalues[-1])
     if low >= 0.0:
         return op
-    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
     tol = max(dec.rank_tolerance, scale * op.dim * EPS * ref)
     if low < -tol:
         raise NotPositive(f"matrix has eigenvalue {low:.3e} below -{tol:.3e}")
@@ -190,7 +190,7 @@ def joint(g: Gaussian, s, t, rank_tol_scale: float | None = None) -> JointGaussi
     op = SymOperator(big)
     dec = op.decomposition(rank_tol_scale)
     low = float(dec.eigenvalues[-1])
-    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
     ref = (frob(sm.entries) + frob(tm.entries)) ** 2 * frob(d)
     tol = max(dec.rank_tolerance, scale * op.dim * EPS * ref)
     if low < -tol:

@@ -25,6 +25,7 @@ from .gaussian import Gaussian
 from .spectral import (
     DEFAULT_RANK_TOL_SCALE,
     SymOperator,
+    _resolve_rank_tol_scale,
     frob,
     orthonormal_columns,
 )
@@ -73,7 +74,7 @@ def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutR
     floor = d_dec.rank_tolerance * (1.0 + frob(g.cov.entries))
     degenerate = cond_var_x <= floor
     coefficient = 0.0 if degenerate else cond_cov_xy / cond_var_x
-    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
     return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, scale)
 
 

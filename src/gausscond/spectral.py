@@ -2,8 +2,8 @@
 
 Everything downstream rests on four primitives built here:
 
-* a deterministic eigendecomposition of symmetric matrices (cyclic Jacobi
-  rotations, fixed sweep order, fixed sign convention),
+* an eigendecomposition of symmetric matrices (LAPACK through
+  ``numpy.linalg.eigh``, descending order, fixed sign convention),
 * square roots and pseudo-inverse square roots of positive semidefinite
   operators, with a shared notion of numerical rank,
 * orthogonal projectors onto ranges, row spaces and null spaces,
@@ -19,22 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimError, InvalidInput, NotInjective, NotPositive
+from .errors import DimError, InvalidInput, NotPositive
 
 EPS = float(np.finfo(float).eps)
 
 # Default multiplier for the numerical rank threshold. Overridable per call.
 DEFAULT_RANK_TOL_SCALE = 100.0
-
-# Jacobi iteration stops when the off-diagonal Frobenius norm falls below
-# JACOBI_OFF_TOL times the Frobenius norm of the input, or after
-# JACOBI_SWEEP_LIMIT full sweeps, whichever comes first.
-JACOBI_OFF_TOL = 1e-14
-JACOBI_SWEEP_LIMIT = 50
 
 # Construction-time validation thresholds.
 ORTHONORMALITY_TOL = 1e-12          # scaled by n
@@ -43,7 +36,15 @@ PROJECTOR_SYM_TOL = 1e-12
 PROJECTOR_IDEMPOTENT_TOL = 1e-10
 PROJECTOR_TRACE_TOL = 1e-8
 LEFT_FACTOR_TOL = 1e-9              # scaled by 1 + ||T||
-LU_PIVOT_TOL = 1e-12                # scaled by ||U||
+LU_PIVOT_TOL = 1e-12                # min singular value of U, scaled by ||U||
+
+
+def _resolve_rank_tol_scale(rank_tol_scale: float | None) -> float:
+    """The rank threshold multiplier a call uses: the default for None, else positive."""
+    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
+    if scale <= 0.0:
+        raise InvalidInput(f"rank_tol_scale must be positive, got {scale}")
+    return scale
 
 
 def frob(a) -> float:
@@ -71,7 +72,7 @@ class SymOperator:
 
     Entries are symmetrized by averaging at construction and frozen
     read-only afterwards. Decompositions are cached per rank_tol_scale so
-    repeated use of the same operator never repeats the Jacobi iteration.
+    repeated use of the same operator never factorizes it twice.
     """
 
     entries: np.ndarray
@@ -90,9 +91,7 @@ class SymOperator:
         object.__setattr__(self, "dim", a.shape[0])
 
     def decomposition(self, rank_tol_scale: float | None = None) -> "SpectralDecomposition":
-        key = float(DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else rank_tol_scale)
-        if key <= 0.0:
-            raise InvalidInput(f"rank_tol_scale must be positive, got {key}")
+        key = _resolve_rank_tol_scale(rank_tol_scale)
         cached = self._decomp_cache.get(key)
         if cached is None:
             cached = eig_sym(self, rank_tol_scale=key)
@@ -245,87 +244,28 @@ class SpectralDecomposition:
         return np.eye(self.dim) - self.range_projector_matrix()
 
 
-def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    # One two-sided rotation in the (p, q) plane annihilating work[p, q].
-    apq = work[p, q]
-    app = work[p, p]
-    aqq = work[q, q]
-    theta = (aqq - app) / (2.0 * apq)
-    if abs(theta) > 1e100 or not math.isfinite(theta):
-        t = 0.0 if not math.isfinite(theta) else 1.0 / (2.0 * theta)
-    else:
-        t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-
-    colp = work[:, p].copy()
-    colq = work[:, q].copy()
-    work[:, p] = c * colp - s * colq
-    work[:, q] = s * colp + c * colq
-    rowp = work[p, :].copy()
-    rowq = work[q, :].copy()
-    work[p, :] = c * rowp - s * rowq
-    work[q, :] = s * rowp + c * rowq
-    # Stable closed forms for the rotated 2x2 block.
-    work[p, p] = app - t * apq
-    work[q, q] = aqq + t * apq
-    work[p, q] = 0.0
-    work[q, p] = 0.0
-
-    vp = vecs[:, p].copy()
-    vq = vecs[:, q].copy()
-    vecs[:, p] = c * vp - s * vq
-    vecs[:, q] = s * vp + c * vq
-
-
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi iteration. Returns unsorted (eigenvalues, eigenvectors)."""
-    n = a.shape[0]
-    work = a.astype(float, copy=True)
-    vecs = np.eye(n)
-    norm_a = frob(a)
-    if n == 1 or norm_a == 0.0:
-        return np.diag(work).copy(), vecs
-    stop = JACOBI_OFF_TOL * norm_a
-    for _sweep in range(JACOBI_SWEEP_LIMIT):
-        off = frob(work - np.diag(np.diag(work)))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if work[p, q] != 0.0:
-                    _jacobi_rotate(work, vecs, p, q)
-    return np.diag(work).copy(), vecs
-
-
 def eig_sym(a, rank_tol_scale: float | None = None) -> SpectralDecomposition:
-    """Deterministic eigendecomposition of a symmetric operator.
+    """Eigendecomposition of a symmetric operator (LAPACK ``eigh``).
 
-    Output order is descending by eigenvalue (stable under ties). Each
-    eigenvector is signed so its largest-magnitude component is positive,
-    ties broken by the lowest index, which makes the result a function of
-    the input alone.
+    Output order is descending by eigenvalue. Each eigenvector is signed
+    so its largest-magnitude component is positive, ties broken by the
+    lowest index, so repeated calls on one numpy/BLAS build agree exactly.
     """
     op = as_sym_operator(a)
-    scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
-    if scale <= 0.0:
-        raise InvalidInput(f"rank_tol_scale must be positive, got {scale}")
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
 
-    vals, vecs = _jacobi_eigh(op.entries)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    vals, vecs = np.linalg.eigh(op.entries)
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
+    lead = np.argmax(np.abs(vecs), axis=0)
+    vecs = vecs * np.where(vecs[lead, np.arange(op.dim)] < 0.0, -1.0, 1.0)
 
     largest = maxabs(vals)
     tol = scale * op.dim * largest * EPS
     rank = int(np.count_nonzero(vals > tol))
 
-    # Cheap convergence certificate; failure here means the iteration did
-    # not reach its advertised accuracy, which callers must not paper over.
+    # Cheap accuracy certificate; failure here means the solver did not
+    # reach its advertised accuracy, which callers must not paper over.
     gram = maxabs(vecs.T @ vecs - np.eye(op.dim))
     if gram > ORTHONORMALITY_TOL * op.dim:
         raise InvalidInput(f"eigenvector columns lost orthonormality: {gram:.3e}")
@@ -398,14 +338,14 @@ def orthonormal_columns(
 ) -> np.ndarray:
     """Orthonormal basis for the span of the given columns.
 
-    Modified Gram-Schmidt with column pivoting: at each step the remaining
-    column of largest residual norm is taken (ties to the lowest index),
-    and columns whose residual falls below drop_tol times scale are
-    discarded as dependent. scale defaults to the largest initial column
-    norm; pass it explicitly when the columns themselves may be pure noise
-    (e.g. a residual of projectors). Deterministic.
+    The left singular vectors of a thin SVD whose singular values exceed
+    drop_tol (default 1e-12) times scale; smaller ones count as dependence.
+    scale defaults to the largest column norm; pass it explicitly when the
+    columns themselves may be pure noise (e.g. a residual of projectors).
+    The basis is unique only up to a rotation within the span: callers use
+    its span and its size.
     """
-    c = np.asarray(candidates, dtype=float).copy()
+    c = np.asarray(candidates, dtype=float)
     if c.ndim != 2:
         raise InvalidInput("orthonormal_columns expects a matrix of column vectors")
     n, k = c.shape
@@ -415,30 +355,8 @@ def orthonormal_columns(
     if scale0 == 0.0:
         return np.zeros((n, 0))
     cut = (1e-12 if drop_tol is None else drop_tol) * scale0
-    picked = []
-    remaining = list(range(k))
-    while remaining:
-        norms = np.linalg.norm(c[:, remaining], axis=0)
-        best = int(np.argmax(norms))
-        if norms[best] <= cut:
-            break
-        j = remaining.pop(best)
-        q = c[:, j] / np.linalg.norm(c[:, j])
-        picked.append(q)
-        for i in remaining:
-            c[:, i] -= q * float(q @ c[:, i])
-    if not picked:
-        return np.zeros((n, 0))
-    basis = np.column_stack(picked)
-    # One full re-orthogonalization pass tightens Q^T Q to machine precision.
-    for j in range(basis.shape[1]):
-        v = basis[:, j]
-        for i in range(j):
-            v = v - basis[:, i] * float(basis[:, i] @ v)
-        nv = float(np.linalg.norm(v))
-        if nv > 0.0:
-            basis[:, j] = v / nv
-    return basis
+    u, sv, _ = np.linalg.svd(c, full_matrices=False)
+    return u[:, : int(np.count_nonzero(sv > cut))]
 
 
 def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
@@ -481,71 +399,27 @@ def lu_min_pivot(a) -> float:
     return float(smallest)
 
 
-def extend_to_invertible(basis_in: Sequence, images: Sequence) -> np.ndarray:
-    """Extend a map given on independent vectors to an invertible matrix.
-
-    Given k independent vectors w_j and k independent images u_j in R^n,
-    returns an n x n invertible U with U w_j = u_j. The extension carries
-    an orthonormal basis of span(w)^perp onto an orthonormal basis of
-    span(u)^perp, so the completion is as well-conditioned as the data
-    allows. With k = 0 the result is the identity.
-    """
-    b_list = [np.asarray(v, dtype=float).reshape(-1) for v in basis_in]
-    u_list = [np.asarray(v, dtype=float).reshape(-1) for v in images]
-    if len(b_list) != len(u_list):
-        raise DimError(f"{len(b_list)} basis vectors but {len(u_list)} images")
-    if not b_list:
-        # Nothing is pinned down; the identity is the canonical completion.
-        raise InvalidInput("cannot infer the space dimension from empty input")
-    n = b_list[0].size
-    for v in b_list + u_list:
-        if v.size != n:
-            raise DimError("all vectors must share one dimension")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInput("vectors must be finite")
-    k = len(b_list)
-    if k > n:
-        raise NotInjective(f"{k} vectors cannot be independent in dimension {n}")
-
-    b = np.column_stack(b_list)
-    u = np.column_stack(u_list)
-    if orthonormal_columns(b).shape[1] != k:
-        raise NotInjective("basis_in vectors are not linearly independent")
-    if orthonormal_columns(u).shape[1] != k:
-        raise NotInjective("image vectors are not linearly independent")
-
-    b_full = np.hstack([b, orthonormal_complement(b)])
-    u_full = np.hstack([u, orthonormal_complement(u)])
-    # U b_full = u_full, so U = u_full b_full^{-1}.
-    out = np.linalg.solve(b_full.T, u_full.T).T
-
-    worst = 0.0
-    for w, img in zip(b_list, u_list):
-        worst = max(worst, maxabs(out @ w - img))
-    limit = 1e-9 * (1.0 + max(maxabs(u), maxabs(b)))
-    if worst > limit:
-        raise InvalidInput(f"extension residual {worst:.3e} exceeds {limit:.3e}")
-    return out
-
-
 def invertible_left_factor(t, rank_tol_scale: float | None = None) -> np.ndarray:
     """Invertible U with U T equal to the projector onto the row space of T.
 
-    T must be square. The factor sends each image T f_j of a positive-
-    eigenvalue eigenvector of T^T T back to f_j and extends that map to an
-    invertible one. A zero map yields the identity.
+    T must be square. With F_r the eigenvectors of T^T T whose eigenvalues
+    lambda_j clear the rank tolerance, F_perp the rest and W = T F_r, the
+    factor is U = F_r diag(1/lambda_j) W^T + F_perp C^T, where C is an
+    orthonormal basis of range(W)^perp. U sends each T f_j back to f_j and
+    range(W)^perp isometrically onto span(F_perp); its singular values are
+    1/sigma_j(T) and ones. A zero map yields the identity.
     """
     tm = as_linear_map(t)
     if tm.rows != tm.cols:
         raise DimError(f"map must be square, got {tm.rows} x {tm.cols}")
-    n = tm.cols
     gram = SymOperator(tm.entries.T @ tm.entries)
     dec = gram.decomposition(rank_tol_scale)
     if dec.rank == 0:
-        return np.eye(n)
-    basis_in = [tm.entries @ dec.eigenvectors[:, j] for j in range(dec.rank)]
-    images = [dec.eigenvectors[:, j] for j in range(dec.rank)]
-    out = extend_to_invertible(basis_in, images)
+        return np.eye(tm.cols)
+    f_r = dec.eigenvectors[:, : dec.rank]
+    f_perp = dec.eigenvectors[:, dec.rank:]
+    w = tm.entries @ f_r
+    out = (f_r / dec.eigenvalues[: dec.rank]) @ w.T + f_perp @ orthonormal_complement(w).T
 
     resid = maxabs(out @ tm.entries - dec.range_projector_matrix())
     limit = LEFT_FACTOR_TOL * (1.0 + tm.norm())
@@ -554,7 +428,9 @@ def invertible_left_factor(t, rank_tol_scale: float | None = None) -> np.ndarray
             f"left factor residual {resid:.3e} exceeds {limit:.3e}; "
             "the map is too ill-conditioned for this construction"
         )
-    pivot = lu_min_pivot(out)
-    if pivot <= LU_PIVOT_TOL * frob(out):
-        raise InvalidInput(f"left factor is numerically singular (min pivot {pivot:.3e})")
+    sigma_min = float(np.linalg.norm(out, -2))
+    if sigma_min <= LU_PIVOT_TOL * frob(out):
+        raise InvalidInput(
+            f"left factor is numerically singular (min singular value {sigma_min:.3e})"
+        )
     return out

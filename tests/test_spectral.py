@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscond.checks import random_map, random_orthogonal, random_psd, random_symmetric
-from gausscond.errors import DimError, InvalidInput, NotInjective, NotPositive
+from gausscond.errors import DimError, InvalidInput, NotPositive
 from gausscond.spectral import (
     LinearMap,
     Projector,
     SymOperator,
     as_linear_map,
     eig_sym,
-    extend_to_invertible,
     frob,
     invertible_left_factor,
     lu_min_pivot,
@@ -167,26 +166,6 @@ class TestLU:
         assert lu_min_pivot(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0.0
 
 
-class TestExtendToInvertible:
-    def test_maps_basis_to_images(self):
-        rng = np.random.default_rng(2)
-        basis = [rng.standard_normal(4) for _ in range(2)]
-        images = [rng.standard_normal(4) for _ in range(2)]
-        u = extend_to_invertible(basis, images)
-        for b, im in zip(basis, images):
-            assert maxabs(u @ b - im) <= 1e-9 * (1.0 + maxabs(im))
-        assert lu_min_pivot(u) > 1e-12 * frob(u)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(InvalidInput):
-            extend_to_invertible([], [])
-
-    def test_dependent_basis_rejected(self):
-        v = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(NotInjective):
-            extend_to_invertible([v, 2.0 * v], [np.eye(3)[0], np.eye(3)[1]])
-
-
 class TestInvertibleLeftFactor:
     def test_identity_map(self):
         u = invertible_left_factor(np.eye(3))
@@ -209,6 +188,19 @@ class TestInvertibleLeftFactor:
         p_row = row_space_projector(t).entries
         assert maxabs(u @ t - p_row) <= 1e-9 * (1.0 + frob(t))
         assert lu_min_pivot(u) > 1e-12 * frob(u)
+
+    @given(st.integers(0, 10_000), st.integers(1, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_singular_values_are_inverse_and_ones(self, seed, n):
+        # U is exactly as well-conditioned as T allows: it inverts T's
+        # nonzero singular values and is an isometry on the rest.
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(0, n + 1))
+        t = random_map(rng, n, n, rank)
+        sv_t = np.linalg.svd(t, compute_uv=False)[:rank]
+        expect = np.sort(np.concatenate([1.0 / sv_t, np.ones(n - rank)]))
+        got = np.sort(np.linalg.svd(invertible_left_factor(t), compute_uv=False))
+        assert np.all(np.abs(got - expect) <= 1e-9 * expect)
 
 
 class TestTypes:
