@@ -5,15 +5,17 @@ and reports, per property, the worst residual seen against its tolerance.
 Instances are synthesized with controlled spectra (orthogonal factors
 times bounded eigenvalue draws, exact zeros for rank deficiency) so that
 rank decisions are unambiguous and the stated tolerances are meaningful;
-ranks themselves are drawn uniformly, degenerate cases included. All
-randomness flows from the single seed argument, so a report is a pure
-function of (suite, trials, seed, rank_tol_scale).
+ranks themselves are drawn uniformly, degenerate cases included
+(random_graded_instance also spreads the whitened map's singular values
+over a chosen condition number). All randomness flows from the single
+seed argument, so a report is a pure function of (suite, trials, seed,
+rank_tol_scale).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,15 +96,7 @@ class CheckReport:
             "rank_tol_scale": self.rank_tol_scale,
             "all_passed": self.all_passed,
             "wall_time_s": self.wall_time_s,
-            "properties": [
-                {
-                    "name": p.name,
-                    "passed": p.passed,
-                    "residual": p.residual,
-                    "tolerance": p.tolerance,
-                }
-                for p in self.properties
-            ],
+            "properties": [asdict(p) for p in self.properties],
         }
 
 
@@ -192,8 +186,42 @@ def random_conditioning_instance(
     return g, random_map(rng, m, n, rank_t)
 
 
+def random_graded_instance(
+    rng: np.random.Generator, n_max: int = 8, kappa: float = 1e4
+) -> tuple[Gaussian, np.ndarray]:
+    """Random (law, transform) pair whose whitened map S = T D^(1/2) is ill conditioned.
+
+    The nonzero singular values of S are geometrically spaced from c down
+    to c / kappa, with c uniform in [0.3, 3], so rank decisions stay exact
+    while S spans the whole condition range up to kappa. Ranks and m are
+    drawn as in random_conditioning_instance; when S is nonzero, T also
+    reads the null space of D, which conditioning must ignore.
+    """
+    n = int(rng.integers(1, n_max + 1))
+    rank_d = int(rng.integers(0, n + 1))
+    g = random_gaussian(rng, n, rank_d)
+    m = int(rng.integers(0, n + 1))
+    rank_s = int(rng.integers(0, min(m, rank_d) + 1)) if m else 0
+    if rank_s == 0:
+        return g, np.zeros((m, n))
+    vals, vecs = np.linalg.eigh(g.cov.entries)
+    q_r, q_0 = vecs[:, n - rank_d:], vecs[:, : n - rank_d]
+    sigma = rng.uniform(0.3, 3.0) * np.geomspace(1.0, 1.0 / kappa, rank_s)
+    w = random_orthogonal(rng, m)[:, :rank_s]
+    v = q_r @ random_orthogonal(rng, rank_d)[:, :rank_s]
+    # T = S D^(+1/2) on range(D), plus an arbitrary part on null(D).
+    inv_root = (q_r / np.sqrt(vals[n - rank_d:])) @ q_r.T
+    return g, (w * sigma) @ v.T @ inv_root + rng.uniform(-1.0, 1.0, (m, n)) @ q_0 @ q_0.T
+
+
 def _mc_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
+
+
+def _report(suite: str, trials: int, seed: int, rank_tol_scale, props, t0: float) -> CheckReport:
+    results = tuple(w.result() for w in props)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
+    return CheckReport(suite, trials, seed, scale, results, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +296,7 @@ def check_spectral(
         pivot.add(1e-12 * frob(u) / lu_min_pivot(u), 1.0)
 
     props = [recon, resid, ortho, img_norm, comple, idem, sq, half_ids, factor, pivot]
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-    return CheckReport(
-        "spectral", trials, seed, scale,
-        tuple(w.result() for w in props), time.perf_counter() - t0,
-    )
+    return _report("spectral", trials, seed, rank_tol_scale, props, t0)
 
 
 def check_conditioning(
@@ -420,11 +444,7 @@ def check_conditioning(
         indep, partition, recon, anova, reduction, null_match, char_adj,
         marginals, support, indep_sym, decorr, tower, stat_indep, suff,
     ]
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-    return CheckReport(
-        "conditioning", trials, seed, scale,
-        tuple(w.result() for w in props), time.perf_counter() - t0,
-    )
+    return _report("conditioning", trials, seed, rank_tol_scale, props, t0)
 
 
 def check_oracle(
@@ -485,10 +505,7 @@ def check_oracle(
     mc_prior.add(maxabs(res.cov.entries - g_prior.cov.entries), band * (1.0 + frob(g_prior.cov.entries)))
 
     props = [agree, lift, cutoff, mc_prior]
-    return CheckReport(
-        "oracle", trials, seed, base_scale,
-        tuple(w.result() for w in props), time.perf_counter() - t0,
-    )
+    return _report("oracle", trials, seed, rank_tol_scale, props, t0)
 
 
 def check_regression(
@@ -550,11 +567,7 @@ def check_regression(
         degen.add(partial_out_identity_check(g_deg, y_state, rank_tol_scale), 1e-8)
 
     props = [update, identity, degen, cross]
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-    return CheckReport(
-        "regression", trials, seed, scale,
-        tuple(w.result() for w in props), time.perf_counter() - t0,
-    )
+    return _report("regression", trials, seed, rank_tol_scale, props, t0)
 
 
 SUITES = {

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .gaussian import Gaussian, sample
 from .regression import partial_out
-from .spectral import DEFAULT_RANK_TOL_SCALE, SymOperator, maxabs
+from .spectral import DEFAULT_RANK_TOL_SCALE, SymOperator, _resolve_rank_tol_scale, maxabs
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -33,16 +33,21 @@ EXIT_PARSE = 2
 EXIT_DIM = 3
 EXIT_SUPPORT = 4
 
+# Exit code of each error kind, the most specific kinds first.
+_EXIT_CODES = (
+    (InconsistentObservation, EXIT_SUPPORT),
+    (DimError, EXIT_DIM),
+    ((InvalidInput, json.JSONDecodeError), EXIT_PARSE),
+    (GausscondError, EXIT_PROPERTY),
+)
+
 
 def _resolve_scale(args, extra: dict | None = None) -> float:
     """Effective rank tolerance scale: flag wins, then model field, then default."""
-    if args.rank_tol_scale is not None:
-        if args.rank_tol_scale <= 0:
-            raise InvalidInput("--rank-tol-scale must be positive")
-        return float(args.rank_tol_scale)
-    if extra and "rank_tol_scale" in extra:
-        return float(extra["rank_tol_scale"])
-    return DEFAULT_RANK_TOL_SCALE
+    if args.rank_tol_scale is not None and args.rank_tol_scale <= 0:
+        raise InvalidInput("--rank-tol-scale must be positive")
+    field = (extra or {}).get("rank_tol_scale")
+    return _resolve_rank_tol_scale(field if args.rank_tol_scale is None else args.rank_tol_scale)
 
 
 def _require_json_format(args) -> None:
@@ -50,11 +55,18 @@ def _require_json_format(args) -> None:
         raise InvalidInput("csv output is only available for the sample subcommand")
 
 
-def cmd_condition(args) -> int:
+def _load_problem(args) -> tuple[Gaussian, np.ndarray, float]:
+    """The model, the transform and the rank tolerance scale of a JSON command."""
     _require_json_format(args)
     g, extra = io.load_model(args.model)
     t = io.load_matrix(args.transform)
-    scale = _resolve_scale(args, extra)
+    # An empty transform file ([]) observes nothing about the dim-n state.
+    t = t.reshape(0, g.dim) if t.shape[0] == 0 else t
+    return g, t, _resolve_scale(args, extra)
+
+
+def cmd_condition(args) -> int:
+    g, t, scale = _load_problem(args)
     law = condition(g, t, scale)
     if args.law_only:
         out = {
@@ -81,10 +93,7 @@ def cmd_condition(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    _require_json_format(args)
-    g, extra = io.load_model(args.model)
-    t = io.load_matrix(args.transform)
-    scale = _resolve_scale(args, extra)
+    g, t, scale = _load_problem(args)
     dec = decompose(g, t, scale)
     residual = maxabs(t @ g.cov.entries @ dec.independent_map.T)
     out = {
@@ -155,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--rank-tol-scale", type=float, default=None, metavar="S",
-        help=f"multiplier for the eigenvalue cutoff (default {DEFAULT_RANK_TOL_SCALE:g})",
+        help=f"multiplier for the rank cutoff (default {DEFAULT_RANK_TOL_SCALE:g})",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for any randomness")
     common.add_argument(
@@ -225,21 +234,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except InconsistentObservation as exc:
+    except (GausscondError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SUPPORT
-    except DimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIM
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GausscondError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ The central objects, for Y ~ N(mu, D) on R^n and any T into R^m:
   K = D^(1/2) P_row(S) D^(-1/2), conditional covariance
   G = D^(1/2) P_null(S) D^(1/2), and mean map y -> mu + K (y - mu).
 
-Nothing here requires D or T to have full rank, and no inverse is ever
-formed; pseudo-inverse square roots do all the work.
+Nothing here requires D or T to have full rank. The projectors of S come
+from the SVD of S itself, never from S^T S, so a direction of S counts
+as observed down to rank_tol_scale * max(m, n) * eps times the larger of
+sigma_max(S) and ||T|| ||D^(1/2)||, the scale of the roundoff in S.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .spectral import (
     LinearMap,
     Projector,
     SymOperator,
+    _map_svd,
     _resolve_rank_tol_scale,
     as_linear_map,
     frob,
     invertible_left_factor,
     maxabs,
+    row_space_projector,
 )
 
 
@@ -80,8 +84,9 @@ class Decomposition:
     M = independent_map applied to Y is independent of T Y, and on the
     support of the prior Y - M Y = affine_gain (T Y) + affine_offset, so
     the two summands reconstruct Y exactly. whitened_transform is
-    S = T D^(1/2); its null and row-space projectors (which sum to the
-    identity) generate both pieces.
+    S = T D^(1/2). One SVD of S zero-padded to a square map gives both
+    its null projector, hence M, and its invertible left factor, hence
+    affine_gain.
     """
 
     independent_map: np.ndarray
@@ -108,10 +113,9 @@ def _whiten(g: Gaussian, t, rank_tol_scale):
         raise DimError(f"map expects dim {tm.cols} but the law lives on R^{g.dim}")
     d_dec = g.cov.decomposition(rank_tol_scale)
     root = d_dec.sqrt_matrix()
-    s = LinearMap(tm.entries @ root)
-    gram = SymOperator(s.entries.T @ s.entries)
-    s_dec = gram.decomposition(rank_tol_scale)
-    return tm, d_dec, root, s, s_dec
+    # S carries roundoff of order eps * ||T|| ||D^(1/2)||, e.g. from a row of
+    # T that reads null(D); that product is the floor of its rank cut.
+    return tm, d_dec, root, LinearMap(tm.entries @ root), frob(tm.entries) * frob(root)
 
 
 def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> ConditionalLaw:
@@ -122,16 +126,13 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
     A zero T returns the prior itself; a full-rank square T collapses the
     covariance to zero.
     """
-    tm, d_dec, root, s, s_dec = _whiten(g, t, rank_tol_scale)
-    inv_root = d_dec.pinv_sqrt_matrix()
-    p_row = s_dec.range_projector_matrix()
-    p_null = s_dec.null_projector_matrix()
-    gain = root @ p_row @ inv_root
-    cov_entries = root @ p_null @ root
+    tm, d_dec, root, s, ref = _whiten(g, t, rank_tol_scale)
+    p_row = row_space_projector(s, rank_tol_scale, ref).entries
+    gain = root @ p_row @ d_dec.pinv_sqrt_matrix()
+    cov_entries = root @ (np.eye(g.dim) - p_row) @ root
     cov = _psd_clamped((cov_entries + cov_entries.T) / 2.0, rank_tol_scale, frob(root) ** 2)
     prior_null = Projector(d_dec.null_projector_matrix(), g.dim - d_dec.rank)
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-    return ConditionalLaw(g.mean, gain, cov, prior_null, scale)
+    return ConditionalLaw(g.mean, gain, cov, prior_null, _resolve_rank_tol_scale(rank_tol_scale))
 
 
 def evaluate(
@@ -167,26 +168,33 @@ def decompose(g: Gaussian, t, rank_tol_scale: float | None = None) -> Decomposit
 
     M = D^(1/2) P_null(S) D^(-1/2) satisfies T D M^T = 0, which for jointly
     normal vectors is exactly independence of M Y and T Y. The affine part
-    reproduces Y - M Y from the value of T Y alone: for square T it is
-    built from an invertible left factor U of S (A = D^(1/2) U), and in
-    general through the Gram reduction A = D^(1/2) U' S^T with
-    U' = invertible_left_factor(S^T S).
+    reproduces Y - M Y from the value of T Y alone. S (m x n), divided by
+    its largest entry c, is zero-padded to a square k x k map,
+    k = max(m, n), whose invertible left factor U has
+    U[:n, :m] S / c = P_row(S); the gain is A = D^(1/2) U[:n, :m] / c
+    restricted to range(S). P_row(S) and range(S) are read off the SVD
+    that built U, so M and A share one rank decision.
     """
-    tm, d_dec, root, s, s_dec = _whiten(g, t, rank_tol_scale)
-    inv_root = d_dec.pinv_sqrt_matrix()
-    p_null = Projector(s_dec.null_projector_matrix(), g.dim - s_dec.rank)
-    p_row = Projector(s_dec.range_projector_matrix(), s_dec.rank)
-    m_map = root @ p_null.entries @ inv_root
-
+    tm, d_dec, root, s, ref = _whiten(g, t, rank_tol_scale)
+    # U's unit singular values would carry roundoff of size eps * |S| out of
+    # range(S)^perp unscaled; at unit size that is eps for every scale of T.
+    size = maxabs(s.entries) or 1.0
+    k = max(tm.rows, tm.cols)
+    padded = LinearMap(np.pad(s.entries / size, ((0, k - tm.rows), (0, k - tm.cols))))
+    u = invertible_left_factor(padded, rank_tol_scale, ref / size)
+    w, _, vt, rank = _map_svd(padded, rank_tol_scale, ref / size)
+    v_r = vt[:rank, : tm.cols].T
+    out = v_r @ v_r.T
+    p_row = Projector((out + out.T) / 2.0, rank)
+    p_null = p_row.complement()
+    m_map = root @ p_null.entries @ d_dec.pinv_sqrt_matrix()
+    # T Y - T mu never leaves range(S) on the support of the prior. Off it, U
+    # is an arbitrary isometry that would carry rounding in T Y, scaled by the
+    # rows of T that read null(D), into the split; the gain keeps U on range(S).
+    w_r = w[: tm.rows, :rank]
+    affine_gain = root @ (u[: tm.cols, : tm.rows] @ w_r) @ w_r.T / size
     null_d = d_dec.null_projector_matrix()
-    if tm.rows == tm.cols:
-        u = invertible_left_factor(s, rank_tol_scale)
-        affine_gain = root @ u
-    else:
-        u = invertible_left_factor(SymOperator(s.entries.T @ s.entries), rank_tol_scale)
-        affine_gain = root @ u @ s.entries.T
     affine_offset = (np.eye(g.dim) - affine_gain @ tm.entries) @ (null_d @ g.mean)
-
     scale = _resolve_rank_tol_scale(rank_tol_scale)
     return Decomposition(m_map, affine_gain, affine_offset, s, p_null, p_row, scale)
 
@@ -210,10 +218,11 @@ def anova_check(g: Gaussian, t, rank_tol_scale: float | None = None) -> AnovaRep
     the conditional mean; their sum must reproduce D. The residual is the
     largest entry of the defect.
     """
-    tm, d_dec, root, s, s_dec = _whiten(g, t, rank_tol_scale)
-    e_cov_given = root @ s_dec.null_projector_matrix() @ root
+    _, _, root, s, ref = _whiten(g, t, rank_tol_scale)
+    p_row = row_space_projector(s, rank_tol_scale, ref).entries
+    e_cov_given = root @ (np.eye(g.dim) - p_row) @ root
     e_cov_given = (e_cov_given + e_cov_given.T) / 2.0
-    cov_of_mean = root @ s_dec.range_projector_matrix() @ root
+    cov_of_mean = root @ p_row @ root
     cov_of_mean = (cov_of_mean + cov_of_mean.T) / 2.0
     residual = maxabs(e_cov_given + cov_of_mean - g.cov.entries)
     return AnovaReport(e_cov_given, cov_of_mean, residual)
@@ -229,21 +238,21 @@ def lift_observation(
 ) -> np.ndarray:
     """Support-consistent state y* with T y* equal to the observed value.
 
-    The minimal construction y* = mu + D^(1/2) S^+ (observed - T mu) lands
-    in the support mu + range(D) by design; when the observed vector is not
-    attainable (it leaves the range of S), T y* only matches its attainable
-    part, and with strict=True that mismatch raises
-    InconsistentObservation.
+    The minimal construction y* = mu + D^(1/2) S^+ (observed - T mu), with
+    S^+ from the SVD of S under the map rank rule, lands in the support
+    mu + range(D) by design; when the observed vector is not attainable
+    (it leaves the range of S), T y* only matches its attainable part, and
+    with strict=True that mismatch raises InconsistentObservation.
     """
-    tm, d_dec, root, s, s_dec = _whiten(g, t, rank_tol_scale)
+    tm, _, root, s, ref = _whiten(g, t, rank_tol_scale)
     obs = np.asarray(observed, dtype=float).reshape(-1)
     if obs.size != tm.rows:
         raise DimError(f"observed value has dim {obs.size} but the map outputs dim {tm.rows}")
     if tm.rows == 0:
         return g.mean.copy()
     shift = obs - tm.entries @ g.mean
-    pinv_s = s_dec.pinv_matrix() @ s.entries.T
-    state = g.mean + root @ (pinv_s @ shift)
+    w, sv, vt, rank = _map_svd(s, rank_tol_scale, ref)
+    state = g.mean + root @ (vt[:rank].T @ ((w[:, :rank].T @ shift) / sv[:rank]))
     if strict:
         residual = float(np.linalg.norm(tm.entries @ state - obs))
         limit = tol if tol is not None else 1e-8 * (1.0 + float(np.linalg.norm(obs)))

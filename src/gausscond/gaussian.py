@@ -23,7 +23,9 @@ import numpy as np
 from .errors import DimError, InvalidInput, NotPositive
 from .spectral import (
     EPS,
+    LinearMap,
     SymOperator,
+    _psd_decomposition,
     _resolve_rank_tol_scale,
     as_linear_map,
     as_sym_operator,
@@ -50,11 +52,7 @@ class Gaussian:
         cov = as_sym_operator(self.cov)
         if cov.dim != mu.size:
             raise DimError(f"mean has dim {mu.size} but cov has dim {cov.dim}")
-        dec = cov.decomposition()
-        if dec.eigenvalues[-1] < -dec.rank_tolerance:
-            raise NotPositive(
-                f"covariance has eigenvalue {dec.eigenvalues[-1]:.3e} below -rank_tolerance"
-            )
+        _psd_decomposition(cov, None, "covariance")
         mu = mu.copy()
         mu.setflags(write=False)
         object.__setattr__(self, "mean", mu)
@@ -114,6 +112,15 @@ class IndependenceResult(NamedTuple):
     residual: float
 
 
+def _map_pair(g: Gaussian, s, t) -> tuple[LinearMap, LinearMap]:
+    sm, tm = as_linear_map(s), as_linear_map(t)
+    if sm.cols != g.dim or tm.cols != g.dim:
+        raise DimError(
+            f"maps expect dims {sm.cols} and {tm.cols} but the law lives on R^{g.dim}"
+        )
+    return sm, tm
+
+
 def char_fn(g: Gaussian, t) -> complex:
     """Characteristic function exp(i <t, mu> - <t, D t>/2) at the point t."""
     t = np.asarray(t, dtype=float).reshape(-1)
@@ -131,19 +138,23 @@ def _psd_clamped(
 ) -> SymOperator:
     # Keep entries untouched when the spectrum is already nonnegative;
     # clamp eigenvalues in (-tol, 0) introduced by round-off otherwise.
+    op = SymOperator(entries)
+    dec = _checked_psd(op, rank_tol_scale, ref, "matrix")
+    if dec.eigenvalues[-1] >= 0.0:
+        return op
+    return SymOperator(dec._synthesize(np.maximum(dec.eigenvalues, 0.0)))
+
+
+def _checked_psd(op: SymOperator, rank_tol_scale: float | None, ref: float, what: str):
     # ref is the magnitude of the computation that produced the matrix: a
     # product of O(ref) factors may be zero up to roundoff scaled by ref,
     # which the matrix's own (vanishing) spectrum cannot reveal.
-    op = SymOperator(entries)
     dec = op.decomposition(rank_tol_scale)
     low = float(dec.eigenvalues[-1])
-    if low >= 0.0:
-        return op
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-    tol = max(dec.rank_tolerance, scale * op.dim * EPS * ref)
+    tol = max(dec.rank_tolerance, _resolve_rank_tol_scale(rank_tol_scale) * op.dim * EPS * ref)
     if low < -tol:
-        raise NotPositive(f"matrix has eigenvalue {low:.3e} below -{tol:.3e}")
-    return SymOperator(dec._synthesize(np.maximum(dec.eigenvalues, 0.0)))
+        raise NotPositive(f"{what} has eigenvalue {low:.3e} below -{tol:.3e}")
+    return dec
 
 
 def pushforward(g: Gaussian, s, rank_tol_scale: float | None = None) -> Gaussian:
@@ -167,12 +178,7 @@ def joint(g: Gaussian, s, t, rank_tol_scale: float | None = None) -> JointGaussi
     for entry. The assembled matrix is validated as positive semidefinite
     up to roundoff of the producing products but never rewritten.
     """
-    sm = as_linear_map(s)
-    tm = as_linear_map(t)
-    if sm.cols != g.dim or tm.cols != g.dim:
-        raise DimError(
-            f"maps expect dims {sm.cols} and {tm.cols} but the law lives on R^{g.dim}"
-        )
+    sm, tm = _map_pair(g, s, t)
     m, p = sm.rows, tm.rows
     if m + p < 1:
         raise DimError("both maps have empty output spaces")
@@ -188,13 +194,8 @@ def joint(g: Gaussian, s, t, rank_tol_scale: float | None = None) -> JointGaussi
     big = (big + big.T) / 2.0
 
     op = SymOperator(big)
-    dec = op.decomposition(rank_tol_scale)
-    low = float(dec.eigenvalues[-1])
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
     ref = (frob(sm.entries) + frob(tm.entries)) ** 2 * frob(d)
-    tol = max(dec.rank_tolerance, scale * op.dim * EPS * ref)
-    if low < -tol:
-        raise NotPositive(f"joint covariance has eigenvalue {low:.3e} below -{tol:.3e}")
+    _checked_psd(op, rank_tol_scale, ref, "joint covariance")
 
     mean = np.concatenate([sm.entries @ g.mean, tm.entries @ g.mean])
     return JointGaussian(mean, op, m)
@@ -207,12 +208,7 @@ def independence_test(g: Gaussian, s, t) -> IndependenceResult:
     cross-covariance S D T^T; the residual reported is its largest entry in
     magnitude, compared against 1e-10 times (1 + ||S|| ||D|| ||T||).
     """
-    sm = as_linear_map(s)
-    tm = as_linear_map(t)
-    if sm.cols != g.dim or tm.cols != g.dim:
-        raise DimError(
-            f"maps expect dims {sm.cols} and {tm.cols} but the law lives on R^{g.dim}"
-        )
+    sm, tm = _map_pair(g, s, t)
     cross = sm.entries @ g.cov.entries @ tm.entries.T
     residual = maxabs(cross)
     limit = INDEPENDENCE_TOL * (1.0 + sm.norm() * g.cov.norm() * tm.norm())

@@ -1,9 +1,9 @@
 """JSON input and output for the command line front end.
 
 Models are objects with "mean" and "cov" fields; transforms and observed
-values are bare nested arrays. Malformed content raises InvalidInput with
-a message naming the offending field, so the CLI can map it to its parse
-exit code.
+values are bare nested arrays; [] is an empty observation. Malformed
+content raises InvalidInput with a message naming the offending field, so
+the CLI can map it to its parse exit code.
 """
 
 from __future__ import annotations
@@ -73,9 +73,11 @@ def load_model(path: str | Path) -> tuple[Gaussian, dict]:
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
+    """A transform matrix; [] is the empty (0-row) transform, of shape (0, 0)."""
     data = _load_json(path)
-    arr = _as_array(data, path, "transform", 2)
-    return arr
+    if data == []:
+        return np.zeros((0, 0))
+    return _as_array(data, path, "transform", 2)
 
 
 def load_vector(path: str | Path) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimError, TooFewAccepted
-from .gaussian import Gaussian, sample
+from .gaussian import Gaussian, _map_pair, sample
 from .spectral import SymOperator, as_linear_map
 
 MIN_KEPT = 100
@@ -102,12 +102,7 @@ def mc_independence(g: Gaussian, s, t, n_samples: int, seed: int) -> float:
     are evidence of dependence. Coordinates that are almost surely constant
     carry no dependence and contribute zero.
     """
-    sm = as_linear_map(s)
-    tm = as_linear_map(t)
-    if sm.cols != g.dim or tm.cols != g.dim:
-        raise DimError(
-            f"maps expect dims {sm.cols} and {tm.cols} but the law lives on R^{g.dim}"
-        )
+    sm, tm = _map_pair(g, s, t)
     if sm.rows == 0 or tm.rows == 0:
         return 0.0
     rows = sample(g, n_samples, seed)

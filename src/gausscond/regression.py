@@ -24,9 +24,9 @@ from .errors import DimError, XInSubspace
 from .gaussian import Gaussian
 from .spectral import (
     DEFAULT_RANK_TOL_SCALE,
-    SymOperator,
     _resolve_rank_tol_scale,
     frob,
+    null_space_projector,
     orthonormal_columns,
 )
 from .conditioning import condition, evaluate
@@ -63,9 +63,8 @@ def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutR
     d_dec = g.cov.decomposition(rank_tol_scale)
     root = d_dec.sqrt_matrix()
     p_z = _zeroing_map(n, (0, 1))
-    s_z = p_z @ root
-    gram = SymOperator(s_z.T @ s_z)
-    null_proj = gram.decomposition(rank_tol_scale).null_projector_matrix()
+    # As in conditioning: S_z's roundoff scales with ||P_z|| ||D^(1/2)||.
+    null_proj = null_space_projector(p_z @ root, rank_tol_scale, frob(p_z) * frob(root)).entries
 
     x_dir = null_proj @ root[:, 0]
     cond_var_x = float(x_dir @ x_dir)

@@ -1,4 +1,4 @@
-"""Spectral calculus for real symmetric operators.
+"""Spectral calculus for real symmetric operators and linear maps.
 
 Everything downstream rests on four primitives built here:
 
@@ -10,15 +10,18 @@ Everything downstream rests on four primitives built here:
 * an invertible completion U of a square map T with U T equal to the
   orthogonal projector onto the row space of T.
 
-Numerical rank is decided by a single threshold,
-``rank_tol_scale * n * max|lambda| * machine_eps``, so that all operators
-derived from one decomposition agree on which directions count as null.
+Numerical rank has one rule for symmetric operators (eigenvalues above
+``rank_tol_scale * n * max|lambda| * eps``) and one for m x n maps
+(singular values of the map, never of T^T T, above ``rank_tol_scale *
+max(m, n) * max(sigma_max, ref) * eps``, ref the size of a product that
+computed the map), so operators from one decomposition share a null space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +51,13 @@ def _resolve_rank_tol_scale(rank_tol_scale: float | None) -> float:
 
 
 def frob(a) -> float:
-    """Frobenius norm, the package-wide scale for tolerance factors."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
+    """Frobenius norm, the package-wide scale for tolerance factors.
+
+    Taken of a / max|a|, so squares neither overflow nor underflow.
+    """
+    a = np.asarray(a, dtype=float)
+    big = maxabs(a)
+    return big * float(np.linalg.norm(a / big)) if big else 0.0
 
 
 def maxabs(a) -> float:
@@ -98,9 +106,6 @@ class SymOperator:
             self._decomp_cache[key] = cached
         return cached
 
-    def min_eigenvalue(self, rank_tol_scale: float | None = None) -> float:
-        return float(self.decomposition(rank_tol_scale).eigenvalues[-1])
-
     def norm(self) -> float:
         return frob(self.entries)
 
@@ -136,6 +141,11 @@ class LinearMap:
 
     def norm(self) -> float:
         return frob(self.entries)
+
+    @cached_property
+    def svd(self) -> tuple:
+        """Full SVD (W, sigma, V^T), computed once per map."""
+        return np.linalg.svd(self.entries)
 
 
 def as_linear_map(a) -> LinearMap:
@@ -216,24 +226,23 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         return self._synthesize(self.eigenvalues)
 
-    def sqrt_matrix(self) -> np.ndarray:
-        # Eigenvalues at or below the rank cut are exact zeros here, so the
-        # square root has the same range as the positive part. Negatives
+    def _positive_part(self, fn) -> np.ndarray:
+        # fn of the eigenvalues above the rank cut, exact zeros elsewhere, so
+        # every function of D has the range of its positive part. Negatives
         # within tolerance are clamped by the same rule.
-        vals = np.where(self.eigenvalues > self.rank_tolerance, self.eigenvalues, 0.0)
-        return self._synthesize(np.sqrt(vals))
+        vals = np.zeros_like(self.eigenvalues)
+        pos = self.eigenvalues > self.rank_tolerance
+        vals[pos] = fn(self.eigenvalues[pos])
+        return self._synthesize(vals)
+
+    def sqrt_matrix(self) -> np.ndarray:
+        return self._positive_part(np.sqrt)
 
     def pinv_sqrt_matrix(self) -> np.ndarray:
-        vals = np.zeros_like(self.eigenvalues)
-        pos = self.eigenvalues > self.rank_tolerance
-        vals[pos] = 1.0 / np.sqrt(self.eigenvalues[pos])
-        return self._synthesize(vals)
+        return self._positive_part(lambda x: 1.0 / np.sqrt(x))
 
     def pinv_matrix(self) -> np.ndarray:
-        vals = np.zeros_like(self.eigenvalues)
-        pos = self.eigenvalues > self.rank_tolerance
-        vals[pos] = 1.0 / self.eigenvalues[pos]
-        return self._synthesize(vals)
+        return self._positive_part(lambda x: 1.0 / x)
 
     def range_projector_matrix(self) -> np.ndarray:
         v = self.eigenvectors[:, : self.rank]
@@ -278,26 +287,23 @@ def eig_sym(a, rank_tol_scale: float | None = None) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs, rank, tol)
 
 
-def sqrt_psd(a, rank_tol_scale: float | None = None) -> SymOperator:
-    """Unique positive square root of a positive semidefinite operator."""
-    op = as_sym_operator(a)
-    dec = op.decomposition(rank_tol_scale)
+def _psd_decomposition(a, rank_tol_scale: float | None, what: str = "operator"):
+    dec = as_sym_operator(a).decomposition(rank_tol_scale)
     if dec.eigenvalues[-1] < -dec.rank_tolerance:
         raise NotPositive(
-            f"operator has eigenvalue {dec.eigenvalues[-1]:.3e} below -rank_tolerance"
+            f"{what} has eigenvalue {dec.eigenvalues[-1]:.3e} below -rank_tolerance"
         )
-    return SymOperator(dec.sqrt_matrix())
+    return dec
+
+
+def sqrt_psd(a, rank_tol_scale: float | None = None) -> SymOperator:
+    """Unique positive square root of a positive semidefinite operator."""
+    return SymOperator(_psd_decomposition(a, rank_tol_scale).sqrt_matrix())
 
 
 def pinv_sqrt_psd(a, rank_tol_scale: float | None = None) -> SymOperator:
     """Pseudo-inverse square root: 1/sqrt(lambda) on the positive part, 0 on the rest."""
-    op = as_sym_operator(a)
-    dec = op.decomposition(rank_tol_scale)
-    if dec.eigenvalues[-1] < -dec.rank_tolerance:
-        raise NotPositive(
-            f"operator has eigenvalue {dec.eigenvalues[-1]:.3e} below -rank_tolerance"
-        )
-    return SymOperator(dec.pinv_sqrt_matrix())
+    return SymOperator(_psd_decomposition(a, rank_tol_scale).pinv_sqrt_matrix())
 
 
 def range_projector(a, rank_tol_scale: float | None = None) -> Projector:
@@ -312,70 +318,54 @@ def range_projector(a, rank_tol_scale: float | None = None) -> Projector:
     return Projector(dec.range_projector_matrix(), dec.rank)
 
 
-def row_space_projector(t, rank_tol_scale: float | None = None) -> Projector:
+def _map_drop_tol(tm: LinearMap, rank_tol_scale: float | None) -> float:
+    # The rank rule for maps: singular values above scale * max(m, n) * eps
+    # times max(sigma_max, ref) count. ref (default 0) is the magnitude of a
+    # product that computed the map, whose roundoff sigma_max cannot reveal.
+    return _resolve_rank_tol_scale(rank_tol_scale) * max(tm.rows, tm.cols) * EPS
+
+
+def row_space_projector(t, rank_tol_scale: float | None = None, ref: float = 0.0) -> Projector:
     """Orthogonal projector onto the row space of a (possibly rectangular) map.
 
-    Built from the eigenvectors of T^T T: the positive-eigenvalue columns
-    span the row space, and the eigenvalue of each equals the squared norm
-    of its image under T.
+    Q Q^T with Q the right singular vectors of T whose singular values
+    exceed rank_tol_scale * max(m, n) * max(sigma_max, ref) * eps.
     """
     tm = as_linear_map(t)
-    gram = SymOperator(tm.entries.T @ tm.entries)
-    dec = gram.decomposition(rank_tol_scale)
-    return Projector(dec.range_projector_matrix(), dec.rank)
+    q = orthonormal_columns(tm.entries.T, _map_drop_tol(tm, rank_tol_scale), ref)
+    out = q @ q.T
+    return Projector((out + out.T) / 2.0, q.shape[1])
 
 
-def null_space_projector(t, rank_tol_scale: float | None = None) -> Projector:
+def null_space_projector(t, rank_tol_scale: float | None = None, ref: float = 0.0) -> Projector:
     """Orthogonal projector onto the null space of a map: I minus its row-space projector."""
-    tm = as_linear_map(t)
-    gram = SymOperator(tm.entries.T @ tm.entries)
-    dec = gram.decomposition(rank_tol_scale)
-    return Projector(dec.null_projector_matrix(), tm.cols - dec.rank)
+    return row_space_projector(t, rank_tol_scale, ref).complement()
 
 
-def orthonormal_columns(
-    candidates: np.ndarray, drop_tol: float | None = None, scale: float | None = None
-) -> np.ndarray:
+def orthonormal_columns(candidates, drop_tol: float | None = None, ref: float = 0.0) -> np.ndarray:
     """Orthonormal basis for the span of the given columns.
 
     The left singular vectors of a thin SVD whose singular values exceed
-    drop_tol (default 1e-12) times scale; smaller ones count as dependence.
-    scale defaults to the largest column norm; pass it explicitly when the
-    columns themselves may be pure noise (e.g. a residual of projectors).
-    The basis is unique only up to a rotation within the span: callers use
-    its span and its size.
+    drop_tol (default 1e-12) times the largest one, or times ref if that
+    is larger; smaller ones count as dependence. The basis is unique only
+    up to a rotation within the span: callers use its span and its size.
     """
     c = np.asarray(candidates, dtype=float)
     if c.ndim != 2:
         raise InvalidInput("orthonormal_columns expects a matrix of column vectors")
-    n, k = c.shape
-    if k == 0:
-        return np.zeros((n, 0))
-    scale0 = float(np.max(np.linalg.norm(c, axis=0))) if scale is None else float(scale)
-    if scale0 == 0.0:
-        return np.zeros((n, 0))
-    cut = (1e-12 if drop_tol is None else drop_tol) * scale0
+    if min(c.shape) == 0:
+        return np.zeros((c.shape[0], 0))
     u, sv, _ = np.linalg.svd(c, full_matrices=False)
+    cut = (1e-12 if drop_tol is None else drop_tol) * max(float(sv[0]), ref)
     return u[:, : int(np.count_nonzero(sv > cut))]
 
 
-def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(basis columns)."""
-    b = np.asarray(basis, dtype=float)
-    if b.ndim != 2:
-        raise InvalidInput("orthonormal_complement expects a matrix of column vectors")
-    n = b.shape[0]
-    q = orthonormal_columns(b)
-    resid = np.eye(n) - q @ q.T
-    # The identity's unit columns set the scale; the residual's own largest
-    # column must not, or pure roundoff would be promoted to directions.
-    comp = orthonormal_columns(resid, drop_tol=1e-8, scale=1.0)
-    expect = n - q.shape[1]
-    if comp.shape[1] != expect:
-        raise InvalidInput(
-            f"complement rank {comp.shape[1]} does not match expected {expect}"
-        )
-    return comp
+def _map_svd(tm: LinearMap, rank_tol_scale: float | None, ref: float = 0.0):
+    # The map's cached SVD (W, sigma, V^T) and its rank under the map rule:
+    # callers that share a LinearMap share one factorization and one cut.
+    w, sv, vt = tm.svd
+    cut = _map_drop_tol(tm, rank_tol_scale) * max(float(sv[0]), ref)
+    return w, sv, vt, int(np.count_nonzero(sv > cut))
 
 
 def lu_min_pivot(a) -> float:
@@ -399,30 +389,28 @@ def lu_min_pivot(a) -> float:
     return float(smallest)
 
 
-def invertible_left_factor(t, rank_tol_scale: float | None = None) -> np.ndarray:
+def invertible_left_factor(t, rank_tol_scale: float | None = None, ref: float = 0.0) -> np.ndarray:
     """Invertible U with U T equal to the projector onto the row space of T.
 
-    T must be square. With F_r the eigenvectors of T^T T whose eigenvalues
-    lambda_j clear the rank tolerance, F_perp the rest and W = T F_r, the
-    factor is U = F_r diag(1/lambda_j) W^T + F_perp C^T, where C is an
-    orthonormal basis of range(W)^perp. U sends each T f_j back to f_j and
-    range(W)^perp isometrically onto span(F_perp); its singular values are
-    1/sigma_j(T) and ones. A zero map yields the identity.
+    T must be square. From one SVD T = W Sigma V^T, cut by the map rank
+    rule into a kept part (r) and the rest (perp), the factor is
+    U = V_r Sigma_r^(-1) W_r^T + V_perp W_perp^T: it sends each T v_j
+    back to v_j and range(T)^perp isometrically onto null(T). Its
+    singular values are 1/sigma_j(T) and ones. A zero map yields the
+    identity. ref is as in row_space_projector; T is known only to
+    eps * ref, so the residual bound scales with max(||T||, ref).
     """
     tm = as_linear_map(t)
     if tm.rows != tm.cols:
         raise DimError(f"map must be square, got {tm.rows} x {tm.cols}")
-    gram = SymOperator(tm.entries.T @ tm.entries)
-    dec = gram.decomposition(rank_tol_scale)
-    if dec.rank == 0:
+    w, sv, vt, rank = _map_svd(tm, rank_tol_scale, ref)
+    if rank == 0:
         return np.eye(tm.cols)
-    f_r = dec.eigenvectors[:, : dec.rank]
-    f_perp = dec.eigenvectors[:, dec.rank:]
-    w = tm.entries @ f_r
-    out = (f_r / dec.eigenvalues[: dec.rank]) @ w.T + f_perp @ orthonormal_complement(w).T
+    v_r = vt[:rank].T
+    out = (v_r / sv[:rank]) @ w[:, :rank].T + vt[rank:].T @ w[:, rank:].T
 
-    resid = maxabs(out @ tm.entries - dec.range_projector_matrix())
-    limit = LEFT_FACTOR_TOL * (1.0 + tm.norm())
+    resid = maxabs(out @ tm.entries - v_r @ v_r.T)
+    limit = LEFT_FACTOR_TOL * (1.0 + max(tm.norm(), ref))
     if resid > limit:
         raise InvalidInput(
             f"left factor residual {resid:.3e} exceeds {limit:.3e}; "

@@ -7,6 +7,7 @@ from gausscond.checks import (
     DEFAULT_TRIALS,
     SUITES,
     check_spectral,
+    random_graded_instance,
     random_map,
     random_orthogonal,
     random_psd,
@@ -37,6 +38,23 @@ class TestGenerators:
 
     def test_random_map_empty_output(self):
         assert random_map(np.random.default_rng(0), 0, 4, 0).shape == (0, 4)
+
+    def test_graded_instance_spans_kappa(self):
+        # Whenever S = T D^(1/2) has two or more nonzero singular values,
+        # they run from the largest down to exactly largest / kappa.
+        rng = np.random.default_rng(4)
+        spans = 0
+        for _ in range(100):
+            g, t = random_graded_instance(rng, kappa=1e4)
+            if t.shape[0] == 0:
+                continue
+            root = g.cov.decomposition().sqrt_matrix()
+            sv = np.linalg.svd(t @ root, compute_uv=False)
+            nonzero = sv[sv > 1e-10 * max(sv[0], 1e-300)]
+            if nonzero.size >= 2:
+                spans += 1
+                assert abs(nonzero[0] / nonzero[-1] / 1e4 - 1.0) <= 1e-8
+        assert spans >= 10
 
 
 class TestSuites:

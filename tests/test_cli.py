@@ -56,6 +56,16 @@ class TestCondition:
         assert np.allclose(data["mean"], [0.0, 0.0], atol=1e-12)
         assert np.allclose(data["cov"], [[1.0, 0.5], [0.5, 1.0]], atol=1e-12)
 
+    def test_empty_observation_prints_prior(self, bivariate, tmp_path, capsys):
+        model, _, _ = bivariate
+        t0 = _write(tmp_path / "t0.json", [])
+        obs0 = _write(tmp_path / "y0.json", [])
+        code, out, _ = _run(capsys, ["condition", model, t0, obs0])
+        assert code == 0
+        data = json.loads(out)
+        assert np.allclose(data["mean"], [0.0, 0.0], atol=1e-12)
+        assert np.allclose(data["cov"], [[1.0, 0.5], [0.5, 1.0]], atol=1e-12)
+
     def test_dim_mismatch_exit_3(self, bivariate, tmp_path, capsys):
         model, _, obs = bivariate
         bad_t = _write(tmp_path / "bad_t.json", [[1.0, 0.0, 0.0]])
@@ -138,6 +148,16 @@ class TestDecompose:
         assert code == 0
         # Full-rank covariance: the range projector is the identity.
         assert np.allclose(json.loads(out)["independent_map"], np.eye(2), atol=1e-12)
+
+
+    def test_empty_transform_gives_range_projector(self, bivariate, tmp_path, capsys):
+        model, _, _ = bivariate
+        t0 = _write(tmp_path / "t0.json", [])
+        code, out, _ = _run(capsys, ["decompose", model, t0])
+        assert code == 0
+        data = json.loads(out)
+        assert np.allclose(data["independent_map"], np.eye(2), atol=1e-12)
+        assert data["independence_residual"] == 0.0
 
 
 class TestSample:

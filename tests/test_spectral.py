@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscond.checks import random_map, random_orthogonal, random_psd, random_symmetric
+from gausscond.checks import random_map, random_psd, random_symmetric
 from gausscond.errors import DimError, InvalidInput, NotPositive
 from gausscond.spectral import (
     LinearMap,
@@ -17,7 +17,6 @@ from gausscond.spectral import (
     maxabs,
     null_space_projector,
     orthonormal_columns,
-    orthonormal_complement,
     pinv_sqrt_psd,
     range_projector,
     row_space_projector,
@@ -142,19 +141,6 @@ class TestOrthonormalColumns:
     def test_empty_input(self):
         assert orthonormal_columns(np.zeros((4, 0))).shape == (4, 0)
         assert orthonormal_columns(np.zeros((4, 2))).shape == (4, 0)
-
-    def test_complement_dimensions(self):
-        rng = np.random.default_rng(7)
-        b = rng.standard_normal((5, 2))
-        comp = orthonormal_complement(b)
-        assert comp.shape == (5, 3)
-        assert maxabs(b.T @ comp) <= 1e-12 * (1.0 + frob(b))
-
-    def test_complement_of_full_basis_is_empty(self):
-        # The residual of a full projector is pure roundoff; it must not be
-        # promoted to spurious directions.
-        comp = orthonormal_complement(random_orthogonal(np.random.default_rng(9), 7))
-        assert comp.shape == (7, 0)
 
 
 class TestLU:
