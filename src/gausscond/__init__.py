@@ -22,7 +22,6 @@ from .errors import (
     GausscondError,
     InconsistentObservation,
     InvalidInput,
-    NotInjective,
     NotPositive,
     TooFewAccepted,
     XInSubspace,
@@ -81,7 +80,6 @@ __all__ = [
     "InvalidInput",
     "JointGaussian",
     "LinearMap",
-    "NotInjective",
     "NotPositive",
     "OracleResult",
     "PartialOutResult",

@@ -559,7 +559,7 @@ def check_regression(
         vals = rng.uniform(0.5, 2.0, comp.shape[1])
         f = (comp * vals) @ comp.T
         dd = f @ f
-        g_deg = Gaussian(rng.uniform(-1.0, 1.0, 4), SymOperator((dd + dd.T) / 2.0))
+        g_deg = Gaussian(rng.uniform(-1.0, 1.0, 4), SymOperator(dd))
         res = partial_out(g_deg, rank_tol_scale)
         degen.add(abs(res.coefficient), 0.0)
         degen.add(0.0 if res.degenerate else 1.0, 0.0)

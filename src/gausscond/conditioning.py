@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimError, InconsistentObservation
-from .gaussian import Gaussian, _psd_clamped
+from .gaussian import Gaussian, _map_on, _observed, _psd_clamped
 from .spectral import (
     DEFAULT_RANK_TOL_SCALE,
     LinearMap,
@@ -83,24 +83,24 @@ class Decomposition:
 
     M = independent_map applied to Y is independent of T Y, and on the
     support of the prior Y - M Y = affine_gain (T Y) + affine_offset, so
-    the two summands reconstruct Y exactly. whitened_transform is
-    S = T D^(1/2). One SVD of S zero-padded to a square map gives both
-    its null projector, hence M, and its invertible left factor, hence
-    affine_gain.
+    the two summands reconstruct Y exactly. One SVD of the whitened map
+    S = T D^(1/2), zero-padded to a square map, gives both its null
+    projector, hence M, and its invertible left factor, hence affine_gain.
     """
 
     independent_map: np.ndarray
     affine_gain: np.ndarray
     affine_offset: np.ndarray
-    whitened_transform: LinearMap
-    null_projector: Projector
-    row_projector: Projector
     rank_tol_scale: float = DEFAULT_RANK_TOL_SCALE
 
 
 @dataclass(frozen=True)
 class AnovaReport:
-    """Pieces of the variance decomposition E Cov(Y|TY) + Cov E(Y|TY) = D."""
+    """Pieces of the variance decomposition E Cov(Y|TY) + Cov E(Y|TY) = D.
+
+    Both halves are read off the law that condition() returns: its
+    covariance, and K D K^T for its gain K.
+    """
 
     e_cov_given: np.ndarray
     cov_of_mean: np.ndarray
@@ -108,9 +108,7 @@ class AnovaReport:
 
 
 def _whiten(g: Gaussian, t, rank_tol_scale):
-    tm = as_linear_map(t)
-    if tm.cols != g.dim:
-        raise DimError(f"map expects dim {tm.cols} but the law lives on R^{g.dim}")
+    tm = _map_on(g, t)
     d_dec = g.cov.decomposition(rank_tol_scale)
     root = d_dec.sqrt_matrix()
     # S carries roundoff of order eps * ||T|| ||D^(1/2)||, e.g. from a row of
@@ -129,8 +127,7 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
     tm, d_dec, root, s, ref = _whiten(g, t, rank_tol_scale)
     p_row = row_space_projector(s, rank_tol_scale, ref).entries
     gain = root @ p_row @ d_dec.pinv_sqrt_matrix()
-    cov_entries = root @ (np.eye(g.dim) - p_row) @ root
-    cov = _psd_clamped((cov_entries + cov_entries.T) / 2.0, rank_tol_scale, frob(root) ** 2)
+    cov = _psd_clamped(root @ (np.eye(g.dim) - p_row) @ root, rank_tol_scale, frob(root) ** 2)
     prior_null = Projector(d_dec.null_projector_matrix(), g.dim - d_dec.rank)
     return ConditionalLaw(g.mean, gain, cov, prior_null, _resolve_rank_tol_scale(rank_tol_scale))
 
@@ -196,7 +193,7 @@ def decompose(g: Gaussian, t, rank_tol_scale: float | None = None) -> Decomposit
     null_d = d_dec.null_projector_matrix()
     affine_offset = (np.eye(g.dim) - affine_gain @ tm.entries) @ (null_d @ g.mean)
     scale = _resolve_rank_tol_scale(rank_tol_scale)
-    return Decomposition(m_map, affine_gain, affine_offset, s, p_null, p_row, scale)
+    return Decomposition(m_map, affine_gain, affine_offset, scale)
 
 
 def endomorphism_reduction(t) -> LinearMap:
@@ -211,18 +208,17 @@ def endomorphism_reduction(t) -> LinearMap:
 
 
 def anova_check(g: Gaussian, t, rank_tol_scale: float | None = None) -> AnovaReport:
-    """Evaluate both halves of the variance decomposition and their defect.
+    """Verify the law condition() returns against the law of total variance.
 
-    e_cov_given = D^(1/2) P_null(S) D^(1/2) is the expected conditional
-    covariance; cov_of_mean = D^(1/2) P_row(S) D^(1/2) is the covariance of
-    the conditional mean; their sum must reproduce D. The residual is the
-    largest entry of the defect.
+    e_cov_given is the conditional covariance of condition(g, t), which
+    does not depend on the observed value, so it is its own expectation;
+    cov_of_mean = K D K^T is the covariance of the conditional mean
+    mu + K (Y - mu), K the law's gain. Their sum must reproduce D. The
+    residual is the largest entry of the defect.
     """
-    _, _, root, s, ref = _whiten(g, t, rank_tol_scale)
-    p_row = row_space_projector(s, rank_tol_scale, ref).entries
-    e_cov_given = root @ (np.eye(g.dim) - p_row) @ root
-    e_cov_given = (e_cov_given + e_cov_given.T) / 2.0
-    cov_of_mean = root @ p_row @ root
+    law = condition(g, t, rank_tol_scale)
+    e_cov_given = law.cov.entries
+    cov_of_mean = law.gain @ g.cov.entries @ law.gain.T
     cov_of_mean = (cov_of_mean + cov_of_mean.T) / 2.0
     residual = maxabs(e_cov_given + cov_of_mean - g.cov.entries)
     return AnovaReport(e_cov_given, cov_of_mean, residual)
@@ -245,9 +241,7 @@ def lift_observation(
     with strict=True that mismatch raises InconsistentObservation.
     """
     tm, _, root, s, ref = _whiten(g, t, rank_tol_scale)
-    obs = np.asarray(observed, dtype=float).reshape(-1)
-    if obs.size != tm.rows:
-        raise DimError(f"observed value has dim {obs.size} but the map outputs dim {tm.rows}")
+    obs = _observed(tm, observed)
     if tm.rows == 0:
         return g.mean.copy()
     shift = obs - tm.entries @ g.mean

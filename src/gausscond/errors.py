@@ -21,10 +21,6 @@ class NotPositive(GausscondError, ValueError):
     """An operator required to be positive semidefinite is not."""
 
 
-class NotInjective(GausscondError, ValueError):
-    """Vectors required to be linearly independent are not."""
-
-
 class InconsistentObservation(GausscondError):
     """An observed value lies outside the support of its distribution."""
 

@@ -20,13 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimError, InvalidInput, NotPositive
+from .errors import DimError, InvalidInput
 from .spectral import (
-    EPS,
     LinearMap,
     SymOperator,
     _psd_decomposition,
-    _resolve_rank_tol_scale,
     as_linear_map,
     as_sym_operator,
     frob,
@@ -112,13 +110,24 @@ class IndependenceResult(NamedTuple):
     residual: float
 
 
+def _map_on(g: Gaussian, t) -> LinearMap:
+    # The one domain check: a map applied to Y ~ g must read R^n.
+    tm = as_linear_map(t)
+    if tm.cols != g.dim:
+        raise DimError(f"map expects dim {tm.cols} but the law lives on R^{g.dim}")
+    return tm
+
+
 def _map_pair(g: Gaussian, s, t) -> tuple[LinearMap, LinearMap]:
-    sm, tm = as_linear_map(s), as_linear_map(t)
-    if sm.cols != g.dim or tm.cols != g.dim:
-        raise DimError(
-            f"maps expect dims {sm.cols} and {tm.cols} but the law lives on R^{g.dim}"
-        )
-    return sm, tm
+    return _map_on(g, s), _map_on(g, t)
+
+
+def _observed(tm: LinearMap, y) -> np.ndarray:
+    # The one observation check: an observed value of T Y lives in R^m.
+    obs = np.asarray(y, dtype=float).reshape(-1)
+    if obs.size != tm.rows:
+        raise DimError(f"observation has dim {obs.size} but the map outputs dim {tm.rows}")
+    return obs
 
 
 def char_fn(g: Gaussian, t) -> complex:
@@ -139,33 +148,18 @@ def _psd_clamped(
     # Keep entries untouched when the spectrum is already nonnegative;
     # clamp eigenvalues in (-tol, 0) introduced by round-off otherwise.
     op = SymOperator(entries)
-    dec = _checked_psd(op, rank_tol_scale, ref, "matrix")
+    dec = _psd_decomposition(op, rank_tol_scale, "matrix", ref)
     if dec.eigenvalues[-1] >= 0.0:
         return op
     return SymOperator(dec._synthesize(np.maximum(dec.eigenvalues, 0.0)))
 
 
-def _checked_psd(op: SymOperator, rank_tol_scale: float | None, ref: float, what: str):
-    # ref is the magnitude of the computation that produced the matrix: a
-    # product of O(ref) factors may be zero up to roundoff scaled by ref,
-    # which the matrix's own (vanishing) spectrum cannot reveal.
-    dec = op.decomposition(rank_tol_scale)
-    low = float(dec.eigenvalues[-1])
-    tol = max(dec.rank_tolerance, _resolve_rank_tol_scale(rank_tol_scale) * op.dim * EPS * ref)
-    if low < -tol:
-        raise NotPositive(f"{what} has eigenvalue {low:.3e} below -{tol:.3e}")
-    return dec
-
-
 def pushforward(g: Gaussian, s, rank_tol_scale: float | None = None) -> Gaussian:
     """Law of S Y for Y ~ g: mean S mu, covariance S D S^T."""
-    sm = as_linear_map(s)
-    if sm.cols != g.dim:
-        raise DimError(f"map expects dim {sm.cols} but the law lives on R^{g.dim}")
+    sm = _map_on(g, s)
     if sm.rows < 1:
         raise DimError("map has an empty output space")
     cov = sm.entries @ g.cov.entries @ sm.entries.T
-    cov = (cov + cov.T) / 2.0
     ref = frob(sm.entries) ** 2 * frob(g.cov.entries)
     return Gaussian(sm.entries @ g.mean, _psd_clamped(cov, rank_tol_scale, ref))
 
@@ -190,12 +184,10 @@ def joint(g: Gaussian, s, t, rank_tol_scale: float | None = None) -> JointGaussi
         big[:m, :m] = pushforward(g, sm, rank_tol_scale).cov.entries
     if p:
         big[m:, m:] = pushforward(g, tm, rank_tol_scale).cov.entries
-    # Exactly symmetric diagonal blocks pass through this average unchanged.
-    big = (big + big.T) / 2.0
-
+    # SymOperator's average passes exactly symmetric diagonal blocks unchanged.
     op = SymOperator(big)
     ref = (frob(sm.entries) + frob(tm.entries)) ** 2 * frob(d)
-    _checked_psd(op, rank_tol_scale, ref, "joint covariance")
+    _psd_decomposition(op, rank_tol_scale, "joint covariance", ref)
 
     mean = np.concatenate([sm.entries @ g.mean, tm.entries @ g.mean])
     return JointGaussian(mean, op, m)

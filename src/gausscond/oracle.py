@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimError, TooFewAccepted
-from .gaussian import Gaussian, _map_pair, sample
-from .spectral import SymOperator, as_linear_map
+from .errors import TooFewAccepted
+from .gaussian import Gaussian, _map_on, _map_pair, _observed, sample
+from .spectral import SymOperator
 
 MIN_KEPT = 100
 
@@ -36,12 +36,8 @@ class OracleResult:
 
 def ginv_condition(g: Gaussian, a, y_obs, rank_tol_scale: float | None = None) -> OracleResult:
     """Classical generalized-inverse conditioning of Y ~ g on A Y = y_obs."""
-    am = as_linear_map(a)
-    if am.cols != g.dim:
-        raise DimError(f"map expects dim {am.cols} but the law lives on R^{g.dim}")
-    y = np.asarray(y_obs, dtype=float).reshape(-1)
-    if y.size != am.rows:
-        raise DimError(f"observation has dim {y.size} but the map outputs dim {am.rows}")
+    am = _map_on(g, a)
+    y = _observed(am, y_obs)
     sigma = g.cov.entries
     if am.rows == 0:
         # Conditioning on nothing returns the prior.
@@ -51,7 +47,7 @@ def ginv_condition(g: Gaussian, a, y_obs, rank_tol_scale: float | None = None) -
     gain = sigma @ am.entries.T @ pinv
     mean = g.mean + gain @ (y - am.entries @ g.mean)
     cov = sigma - gain @ am.entries @ sigma
-    return OracleResult(mean, SymOperator((cov + cov.T) / 2.0), "ginv")
+    return OracleResult(mean, SymOperator(cov), "ginv")
 
 
 def mc_conditional_moments(
@@ -70,12 +66,8 @@ def mc_conditional_moments(
     covariance of the kept rows. Fewer than 100 kept rows is an error:
     the estimate would be noise.
     """
-    tm = as_linear_map(t)
-    if tm.cols != g.dim:
-        raise DimError(f"map expects dim {tm.cols} but the law lives on R^{g.dim}")
-    y = np.asarray(y_obs, dtype=float).reshape(-1)
-    if y.size != tm.rows:
-        raise DimError(f"observation has dim {y.size} but the map outputs dim {tm.rows}")
+    tm = _map_on(g, t)
+    y = _observed(tm, y_obs)
     rows = sample(g, n_samples, seed, rank_tol_scale)
     if tm.rows == 0:
         kept = rows
@@ -91,7 +83,7 @@ def mc_conditional_moments(
     mean = kept.mean(axis=0)
     centered = kept - mean
     cov = centered.T @ centered / (n_kept - 1)
-    return OracleResult(mean, SymOperator((cov + cov.T) / 2.0), "monte_carlo", n_kept=n_kept)
+    return OracleResult(mean, SymOperator(cov), "monte_carlo", n_kept=n_kept)
 
 
 def mc_independence(g: Gaussian, s, t, n_samples: int, seed: int) -> float:

@@ -4,10 +4,10 @@ With coordinates (X, Y, Z_1, ..., Z_{n-2}) of a jointly normal vector, the
 regression of Y on X after partialling out Z has coefficient
 Cov(X, Y | Z) / Var(X | Z), taken to be zero when the conditional variance
 of X degenerates (X is then a deterministic function of Z and carries no
-extra information). Both conditional moments come from the projector
-calculus: with S_z the whitened map that zeroes the X and Y coordinates,
-Cov(X, Y | Z) = <D^(1/2) P_null(S_z) D^(1/2) e_x, e_y> and
-Var(X | Z) = ||P_null(S_z) D^(1/2) e_x||^2.
+extra information). Both conditional moments are entries of one
+conditional covariance: that of condition(g, P_z), P_z the map that zeroes
+the X and Y coordinates, so Var(X | Z) is its (0, 0) entry and
+Cov(X, Y | Z) its (1, 0) entry.
 
 extended_projection_delta is the one-dimensional update behind it: how an
 orthogonal projection of y changes when the subspace grows by one
@@ -22,13 +22,7 @@ import numpy as np
 
 from .errors import DimError, XInSubspace
 from .gaussian import Gaussian
-from .spectral import (
-    DEFAULT_RANK_TOL_SCALE,
-    _resolve_rank_tol_scale,
-    frob,
-    null_space_projector,
-    orthonormal_columns,
-)
+from .spectral import DEFAULT_RANK_TOL_SCALE, _resolve_rank_tol_scale, orthonormal_columns
 from .conditioning import condition, evaluate
 
 
@@ -54,23 +48,19 @@ def _zeroing_map(n: int, kept_out: tuple[int, ...]) -> np.ndarray:
 def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutResult:
     """Partial regression coefficient of coordinate 1 on coordinate 0 given the rest.
 
-    Degeneracy (conditional variance of X at the rank-tolerance floor)
-    yields a hard zero coefficient rather than a division by noise.
+    Both moments are read off the conditional covariance given Z that
+    condition() returns. Degeneracy (conditional variance of X at the
+    rank-tolerance floor) yields a hard zero coefficient rather than a
+    division by noise.
     """
     n = g.dim
     if n < 3:
         raise DimError(f"need at least 3 coordinates (X, Y, Z...), got {n}")
-    d_dec = g.cov.decomposition(rank_tol_scale)
-    root = d_dec.sqrt_matrix()
-    p_z = _zeroing_map(n, (0, 1))
-    # As in conditioning: S_z's roundoff scales with ||P_z|| ||D^(1/2)||.
-    null_proj = null_space_projector(p_z @ root, rank_tol_scale, frob(p_z) * frob(root)).entries
+    cov = condition(g, _zeroing_map(n, (0, 1)), rank_tol_scale).cov.entries
+    cond_var_x = float(cov[0, 0])
+    cond_cov_xy = float(cov[1, 0])
 
-    x_dir = null_proj @ root[:, 0]
-    cond_var_x = float(x_dir @ x_dir)
-    cond_cov_xy = float(root[1, :] @ x_dir)
-
-    floor = d_dec.rank_tolerance * (1.0 + frob(g.cov.entries))
+    floor = g.cov.decomposition(rank_tol_scale).rank_tolerance * (1.0 + g.cov.norm())
     degenerate = cond_var_x <= floor
     coefficient = 0.0 if degenerate else cond_cov_xy / cond_var_x
     scale = _resolve_rank_tol_scale(rank_tol_scale)
@@ -91,14 +81,12 @@ def partial_out_identity_check(
     n = g.dim
     if y.size != n:
         raise DimError(f"state has dim {y.size} but the law lives on R^{n}")
-    if n < 3:
-        raise DimError(f"need at least 3 coordinates (X, Y, Z...), got {n}")
+    res = partial_out(g, rank_tol_scale)
     p_xz = _zeroing_map(n, (1,))
     p_z = _zeroing_map(n, (0, 1))
     mean_xz = evaluate(condition(g, p_xz, rank_tol_scale), y).mean
     mean_z = evaluate(condition(g, p_z, rank_tol_scale), y).mean
     lhs = float(mean_xz[1] - mean_z[1])
-    res = partial_out(g, rank_tol_scale)
     rhs = res.coefficient * float(y[0] - mean_z[0])
     return abs(lhs - rhs)
 

@@ -287,12 +287,16 @@ def eig_sym(a, rank_tol_scale: float | None = None) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs, rank, tol)
 
 
-def _psd_decomposition(a, rank_tol_scale: float | None, what: str = "operator"):
-    dec = as_sym_operator(a).decomposition(rank_tol_scale)
-    if dec.eigenvalues[-1] < -dec.rank_tolerance:
-        raise NotPositive(
-            f"{what} has eigenvalue {dec.eigenvalues[-1]:.3e} below -rank_tolerance"
-        )
+def _psd_decomposition(a, rank_tol_scale: float | None, what: str = "operator", ref: float = 0.0):
+    # The one PSD gate. ref is the magnitude of the computation that produced
+    # the matrix: a product of O(ref) factors may be zero up to roundoff
+    # scaled by ref, which the matrix's own (vanishing) spectrum cannot reveal.
+    op = as_sym_operator(a)
+    dec = op.decomposition(rank_tol_scale)
+    low = float(dec.eigenvalues[-1])
+    tol = max(dec.rank_tolerance, _resolve_rank_tol_scale(rank_tol_scale) * op.dim * EPS * ref)
+    if low < -tol:
+        raise NotPositive(f"{what} has eigenvalue {low:.3e} below -{tol:.3e}")
     return dec
 
 
@@ -337,9 +341,9 @@ def row_space_projector(t, rank_tol_scale: float | None = None, ref: float = 0.0
     return Projector((out + out.T) / 2.0, q.shape[1])
 
 
-def null_space_projector(t, rank_tol_scale: float | None = None, ref: float = 0.0) -> Projector:
+def null_space_projector(t, rank_tol_scale: float | None = None) -> Projector:
     """Orthogonal projector onto the null space of a map: I minus its row-space projector."""
-    return row_space_projector(t, rank_tol_scale, ref).complement()
+    return row_space_projector(t, rank_tol_scale).complement()
 
 
 def orthonormal_columns(candidates, drop_tol: float | None = None, ref: float = 0.0) -> np.ndarray:

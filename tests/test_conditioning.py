@@ -150,6 +150,20 @@ class TestAnova:
             low = float(np.min(np.linalg.eigvalsh(half)))
             assert low >= -1e-10 * (1.0 + frob(g.cov.entries))
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_halves_are_read_off_the_conditional_law(self, seed):
+        # The check verifies the law condition() returns, not a second formula.
+        rng = np.random.default_rng(seed)
+        g, t = random_conditioning_instance(rng)
+        rep = anova_check(g, t)
+        law = condition(g, t)
+        assert np.array_equal(rep.e_cov_given, law.cov.entries)
+        k = law.gain
+        assert maxabs(rep.cov_of_mean - k @ g.cov.entries @ k.T) <= 1e-12 * (
+            1.0 + frob(g.cov.entries)
+        )
+
     def test_halves_for_coordinate_observation(self):
         g = _bivariate(0.5)
         rep = anova_check(g, np.array([[1.0, 0.0]]))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscond.checks import random_gaussian
+from gausscond.conditioning import condition
 from gausscond.errors import DimError, XInSubspace
 from gausscond.gaussian import Gaussian, sample
 from gausscond.regression import (
@@ -52,6 +53,21 @@ class TestPartialOut:
     def test_requires_three_coordinates(self):
         with pytest.raises(DimError):
             partial_out(_law([0.0, 0.0], np.eye(2)))
+        for n in (1, 2):
+            with pytest.raises(DimError):
+                partial_out_identity_check(_law(np.zeros(n), np.eye(n)), np.zeros(n))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_moments_are_read_off_the_conditional_law(self, seed):
+        # Var(X | Z) and Cov(X, Y | Z) are entries of condition(g, P_z).cov.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        g = random_gaussian(rng, n, int(rng.integers(0, n + 1)))
+        res = partial_out(g)
+        cov = condition(g, np.diag([0.0, 0.0] + [1.0] * (n - 2))).cov.entries
+        assert res.cond_var_x == cov[0, 0]
+        assert res.cond_cov_xy == cov[1, 0]
 
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=30, deadline=None)

@@ -14,7 +14,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscond.checks import random_gaussian, random_graded_instance, random_map
+from gausscond.checks import (
+    random_conditioning_instance,
+    random_gaussian,
+    random_graded_instance,
+    random_map,
+)
 from gausscond.conditioning import (
     anova_check,
     condition,
@@ -131,3 +136,20 @@ def test_decompose_rebuilds_states_of_graded_maps(seed, c):
     g, t = random_graded_instance(rng)
     err, bound = _rebuild_error(decompose(g, c * t), c * t, sample(g, 30, seed))
     assert err <= bound
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_repeated_rows_leave_the_law_unchanged(seed, graded):
+    # [T; T] has the null space of T, and T y determines [T; T] y: observing
+    # every row twice observes nothing new, for the law, the split and the lift.
+    rng = np.random.default_rng(seed)
+    g, t = (random_graded_instance if graded else random_conditioning_instance)(rng)
+    tt = np.vstack([t, t])
+    _same_law(condition(g, tt), condition(g, t), g.cov.entries, seed)
+    err, bound = _rebuild_error(decompose(g, tt), tt, sample(g, 30, seed))
+    assert err <= bound
+    y = sample(g, 1, seed)[0]
+    ref_state = lift_observation(g, t, t @ y)
+    state = lift_observation(g, tt, tt @ y)
+    assert maxabs(state - ref_state) <= 1e-9 * (1.0 + maxabs(ref_state))
