@@ -132,19 +132,14 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
     return ConditionalLaw(g.mean, gain, cov, prior_null, _resolve_rank_tol_scale(rank_tol_scale))
 
 
-def evaluate(
-    law: ConditionalLaw,
-    y,
-    check_support: bool = False,
-    support_tol: float | None = None,
-) -> Gaussian:
+def evaluate(law: ConditionalLaw, y, check_support: bool = False) -> Gaussian:
     """Instantiate the conditional law at a state y.
 
     y is a full state of the prior (the conditioning event is T Y = T y).
     With check_support the component of y - prior_mean in the null space
-    of the prior covariance must vanish within support_tol, otherwise the
-    state is impossible under the prior and InconsistentObservation is
-    raised.
+    of the prior covariance must vanish within 1e-8 (1 + ||y - prior_mean||),
+    otherwise the state is impossible under the prior and
+    InconsistentObservation is raised.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != law.dim:
@@ -152,7 +147,7 @@ def evaluate(
     shift = y - law.prior_mean
     if check_support:
         off = float(np.linalg.norm(law.prior_null_projector.entries @ shift))
-        tol = support_tol if support_tol is not None else 1e-8 * (1.0 + float(np.linalg.norm(shift)))
+        tol = 1e-8 * (1.0 + float(np.linalg.norm(shift)))
         if off > tol:
             raise InconsistentObservation(
                 f"state leaves the support of the prior by {off:.3e} (tol {tol:.3e})"
@@ -225,20 +220,17 @@ def anova_check(g: Gaussian, t, rank_tol_scale: float | None = None) -> AnovaRep
 
 
 def lift_observation(
-    g: Gaussian,
-    t,
-    observed,
-    rank_tol_scale: float | None = None,
-    strict: bool = False,
-    tol: float | None = None,
+    g: Gaussian, t, observed, rank_tol_scale: float | None = None, strict: bool = False
 ) -> np.ndarray:
-    """Support-consistent state y* with T y* equal to the observed value.
+    """Conditional mean E[Y | T Y = observed], a state y* with T y* = observed.
 
-    The minimal construction y* = mu + D^(1/2) S^+ (observed - T mu), with
-    S^+ from the SVD of S under the map rank rule, lands in the support
-    mu + range(D) by design; when the observed vector is not attainable
-    (it leaves the range of S), T y* only matches its attainable part, and
-    with strict=True that mismatch raises InconsistentObservation.
+    y* = mu + D^(1/2) S^+ (observed - T mu), with S^+ from the SVD of S
+    under the map rank rule, is mu + D T^T (T D T^T)^+ (observed - T mu),
+    the conditional mean; evaluating condition(g, t) at y* returns mean y*.
+    It lands in the support mu + range(D) by design. When the observed
+    vector is not attainable (it leaves the range of S), T y* only matches
+    its attainable part, and with strict=True a mismatch above
+    1e-8 (1 + ||observed||) raises InconsistentObservation.
     """
     tm, _, root, s, ref = _whiten(g, t, rank_tol_scale)
     obs = _observed(tm, observed)
@@ -249,7 +241,7 @@ def lift_observation(
     state = g.mean + root @ (vt[:rank].T @ ((w[:, :rank].T @ shift) / sv[:rank]))
     if strict:
         residual = float(np.linalg.norm(tm.entries @ state - obs))
-        limit = tol if tol is not None else 1e-8 * (1.0 + float(np.linalg.norm(obs)))
+        limit = 1e-8 * (1.0 + float(np.linalg.norm(obs)))
         if residual > limit:
             raise InconsistentObservation(
                 f"observed value misses the attainable set by {residual:.3e} (tol {limit:.3e})"

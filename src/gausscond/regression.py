@@ -45,6 +45,22 @@ def _zeroing_map(n: int, kept_out: tuple[int, ...]) -> np.ndarray:
     return p
 
 
+def _partial_out(g: Gaussian, rank_tol_scale: float | None):
+    # The result and the law given Z it was read from.
+    n = g.dim
+    if n < 3:
+        raise DimError(f"need at least 3 coordinates (X, Y, Z...), got {n}")
+    law_z = condition(g, _zeroing_map(n, (0, 1)), rank_tol_scale)
+    cond_var_x = float(law_z.cov.entries[0, 0])
+    cond_cov_xy = float(law_z.cov.entries[1, 0])
+
+    floor = g.cov.decomposition(rank_tol_scale).rank_tolerance * (1.0 + g.cov.norm())
+    degenerate = cond_var_x <= floor
+    coefficient = 0.0 if degenerate else cond_cov_xy / cond_var_x
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
+    return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, scale), law_z
+
+
 def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutResult:
     """Partial regression coefficient of coordinate 1 on coordinate 0 given the rest.
 
@@ -53,18 +69,7 @@ def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutR
     rank-tolerance floor) yields a hard zero coefficient rather than a
     division by noise.
     """
-    n = g.dim
-    if n < 3:
-        raise DimError(f"need at least 3 coordinates (X, Y, Z...), got {n}")
-    cov = condition(g, _zeroing_map(n, (0, 1)), rank_tol_scale).cov.entries
-    cond_var_x = float(cov[0, 0])
-    cond_cov_xy = float(cov[1, 0])
-
-    floor = g.cov.decomposition(rank_tol_scale).rank_tolerance * (1.0 + g.cov.norm())
-    degenerate = cond_var_x <= floor
-    coefficient = 0.0 if degenerate else cond_cov_xy / cond_var_x
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-    return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, scale)
+    return _partial_out(g, rank_tol_scale)[0]
 
 
 def partial_out_identity_check(
@@ -74,30 +79,29 @@ def partial_out_identity_check(
 
     The left side is computed from two full conditioning passes (on the
     (X, Z) coordinates and on the Z coordinates alone), the right side from
-    partial_out; the return value is |LHS - RHS| at y_obs, which should sit
-    at round-off for any state in the support of g.
+    partial_out's reading of the same law given Z; the return value is
+    |LHS - RHS| at y_obs, which should sit at round-off for any state in
+    the support of g.
     """
     y = np.asarray(y_obs, dtype=float).reshape(-1)
     n = g.dim
     if y.size != n:
         raise DimError(f"state has dim {y.size} but the law lives on R^{n}")
-    res = partial_out(g, rank_tol_scale)
-    p_xz = _zeroing_map(n, (1,))
-    p_z = _zeroing_map(n, (0, 1))
-    mean_xz = evaluate(condition(g, p_xz, rank_tol_scale), y).mean
-    mean_z = evaluate(condition(g, p_z, rank_tol_scale), y).mean
+    res, law_z = _partial_out(g, rank_tol_scale)
+    mean_xz = evaluate(condition(g, _zeroing_map(n, (1,)), rank_tol_scale), y).mean
+    mean_z = evaluate(law_z, y).mean
     lhs = float(mean_xz[1] - mean_z[1])
     rhs = res.coefficient * float(y[0] - mean_z[0])
     return abs(lhs - rhs)
 
 
-def extended_projection_delta(v_basis, x, y, tol: float | None = None) -> np.ndarray:
+def extended_projection_delta(v_basis, x, y) -> np.ndarray:
     """Change of the orthogonal projection of y when span(V) grows by x.
 
     Returns P_{span(V, x)} y - P_V y, computed without reprojecting:
     the delta is the component of y along the unit direction of x - P_V x.
     Raises XInSubspace when x lies in span(V), where no new direction
-    exists.
+    exists, i.e. when |x - P_V x| <= 1e-10 (1 + |x|).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -114,7 +118,7 @@ def extended_projection_delta(v_basis, x, y, tol: float | None = None) -> np.nda
     q = orthonormal_columns(basis)
     perp_x = x - q @ (q.T @ x)
     norm_x = float(np.linalg.norm(perp_x))
-    limit = tol if tol is not None else 1e-10 * (1.0 + float(np.linalg.norm(x)))
+    limit = 1e-10 * (1.0 + float(np.linalg.norm(x)))
     if norm_x <= limit:
         raise XInSubspace(
             f"direction lies in the subspace (residual norm {norm_x:.3e} <= {limit:.3e})"

@@ -10,11 +10,12 @@ Everything downstream rests on four primitives built here:
 * an invertible completion U of a square map T with U T equal to the
   orthogonal projector onto the row space of T.
 
-Numerical rank has one rule for symmetric operators (eigenvalues above
-``rank_tol_scale * n * max|lambda| * eps``) and one for m x n maps
-(singular values of the map, never of T^T T, above ``rank_tol_scale *
-max(m, n) * max(sigma_max, ref) * eps``, ref the size of a product that
-computed the map), so operators from one decomposition share a null space.
+Numerical rank has one cutoff, ``rank_tol_scale * dim * eps * max(size,
+ref)``: for symmetric operators dim is n and size is max|lambda|; for
+m x n maps dim is max(m, n) and size is sigma_max of the map, never of
+T^T T. ref is the size of a product that computed the matrix, whose
+roundoff its own spectrum cannot reveal. Operators from one decomposition
+share a null space.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def _resolve_rank_tol_scale(rank_tol_scale: float | None) -> float:
     if scale <= 0.0:
         raise InvalidInput(f"rank_tol_scale must be positive, got {scale}")
     return scale
+
+
+def _cutoff(rank_tol_scale: float | None, dim: int, size: float, ref: float = 0.0) -> float:
+    """The one rank cutoff: values above scale * dim * eps * max(size, ref) count."""
+    return _resolve_rank_tol_scale(rank_tol_scale) * dim * EPS * max(size, ref)
 
 
 def frob(a) -> float:
@@ -91,9 +97,8 @@ class SymOperator:
         a = _as_matrix(self.entries, "SymOperator entries")
         if a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidInput(f"SymOperator must be square with dim >= 1, got shape {a.shape}")
-        a = (a + a.T) / 2.0
-        if not np.array_equal(a, a.T):
-            raise InvalidInput("symmetrization failed to produce a symmetric matrix")
+        # Halves first, so finite entries near the float limit stay finite.
+        a = a / 2.0 + a.T / 2.0
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "dim", a.shape[0])
@@ -144,8 +149,8 @@ class LinearMap:
 
     @cached_property
     def svd(self) -> tuple:
-        """Full SVD (W, sigma, V^T), computed once per map."""
-        return np.linalg.svd(self.entries)
+        """Thin SVD (W, sigma, V^T), computed once per map."""
+        return np.linalg.svd(self.entries, full_matrices=False)
 
 
 def as_linear_map(a) -> LinearMap:
@@ -261,16 +266,16 @@ def eig_sym(a, rank_tol_scale: float | None = None) -> SpectralDecomposition:
     lowest index, so repeated calls on one numpy/BLAS build agree exactly.
     """
     op = as_sym_operator(a)
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-
     vals, vecs = np.linalg.eigh(op.entries)
+    if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+        raise InvalidInput("eigendecomposition is not finite: the spectrum overflows")
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.where(vecs[lead, np.arange(op.dim)] < 0.0, -1.0, 1.0)
 
     largest = maxabs(vals)
-    tol = scale * op.dim * largest * EPS
+    tol = _cutoff(rank_tol_scale, op.dim, largest)
     rank = int(np.count_nonzero(vals > tol))
 
     # Cheap accuracy certificate; failure here means the solver did not
@@ -294,7 +299,7 @@ def _psd_decomposition(a, rank_tol_scale: float | None, what: str = "operator", 
     op = as_sym_operator(a)
     dec = op.decomposition(rank_tol_scale)
     low = float(dec.eigenvalues[-1])
-    tol = max(dec.rank_tolerance, _resolve_rank_tol_scale(rank_tol_scale) * op.dim * EPS * ref)
+    tol = _cutoff(rank_tol_scale, op.dim, maxabs(dec.eigenvalues), ref)
     if low < -tol:
         raise NotPositive(f"{what} has eigenvalue {low:.3e} below -{tol:.3e}")
     return dec
@@ -322,13 +327,6 @@ def range_projector(a, rank_tol_scale: float | None = None) -> Projector:
     return Projector(dec.range_projector_matrix(), dec.rank)
 
 
-def _map_drop_tol(tm: LinearMap, rank_tol_scale: float | None) -> float:
-    # The rank rule for maps: singular values above scale * max(m, n) * eps
-    # times max(sigma_max, ref) count. ref (default 0) is the magnitude of a
-    # product that computed the map, whose roundoff sigma_max cannot reveal.
-    return _resolve_rank_tol_scale(rank_tol_scale) * max(tm.rows, tm.cols) * EPS
-
-
 def row_space_projector(t, rank_tol_scale: float | None = None, ref: float = 0.0) -> Projector:
     """Orthogonal projector onto the row space of a (possibly rectangular) map.
 
@@ -336,7 +334,7 @@ def row_space_projector(t, rank_tol_scale: float | None = None, ref: float = 0.0
     exceed rank_tol_scale * max(m, n) * max(sigma_max, ref) * eps.
     """
     tm = as_linear_map(t)
-    q = orthonormal_columns(tm.entries.T, _map_drop_tol(tm, rank_tol_scale), ref)
+    q = orthonormal_columns(tm.entries.T, rank_tol_scale, ref)
     out = q @ q.T
     return Projector((out + out.T) / 2.0, q.shape[1])
 
@@ -346,29 +344,28 @@ def null_space_projector(t, rank_tol_scale: float | None = None) -> Projector:
     return row_space_projector(t, rank_tol_scale).complement()
 
 
-def orthonormal_columns(candidates, drop_tol: float | None = None, ref: float = 0.0) -> np.ndarray:
+def orthonormal_columns(
+    candidates, rank_tol_scale: float | None = None, ref: float = 0.0
+) -> np.ndarray:
     """Orthonormal basis for the span of the given columns.
 
-    The left singular vectors of a thin SVD whose singular values exceed
-    drop_tol (default 1e-12) times the largest one, or times ref if that
-    is larger; smaller ones count as dependence. The basis is unique only
-    up to a rotation within the span: callers use its span and its size.
+    The left singular vectors W_r of the matrix of columns, cut by the map
+    rank rule; smaller singular values count as dependence. The basis is
+    unique only up to a rotation within the span: callers use its span
+    and its size.
     """
     c = np.asarray(candidates, dtype=float)
-    if c.ndim != 2:
-        raise InvalidInput("orthonormal_columns expects a matrix of column vectors")
-    if min(c.shape) == 0:
+    if c.ndim == 2 and min(c.shape) == 0:
         return np.zeros((c.shape[0], 0))
-    u, sv, _ = np.linalg.svd(c, full_matrices=False)
-    cut = (1e-12 if drop_tol is None else drop_tol) * max(float(sv[0]), ref)
-    return u[:, : int(np.count_nonzero(sv > cut))]
+    w, _, _, rank = _map_svd(LinearMap(c), rank_tol_scale, ref)
+    return w[:, :rank]
 
 
 def _map_svd(tm: LinearMap, rank_tol_scale: float | None, ref: float = 0.0):
     # The map's cached SVD (W, sigma, V^T) and its rank under the map rule:
     # callers that share a LinearMap share one factorization and one cut.
     w, sv, vt = tm.svd
-    cut = _map_drop_tol(tm, rank_tol_scale) * max(float(sv[0]), ref)
+    cut = _cutoff(rank_tol_scale, max(tm.rows, tm.cols), float(sv[0]), ref)
     return w, sv, vt, int(np.count_nonzero(sv > cut))
 
 

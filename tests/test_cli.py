@@ -118,6 +118,15 @@ class TestCondition:
         code, _, _ = _run(capsys, ["condition", model, transform, obs, "--format", "csv"])
         assert code == 2
 
+    def test_options_of_other_subcommands_rejected(self, bivariate, capsys):
+        # --seed belongs to sample and check, --format to sample.
+        model, transform, obs = bivariate
+        for extra in (["--seed", "1"], ["--format", "json"]):
+            code, _, _ = _run(capsys, ["condition", model, transform, obs, *extra])
+            assert code == 2, extra
+        code, _, _ = _run(capsys, ["check", "spectral", "--trials", "1", "--format", "json"])
+        assert code == 2
+
 
 class TestDecompose:
     def test_projection_under_identity_cov(self, tmp_path, capsys):

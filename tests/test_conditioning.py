@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscond.checks import random_conditioning_instance, random_gaussian
+from gausscond.checks import (
+    random_conditioning_instance,
+    random_gaussian,
+    random_graded_instance,
+)
 from gausscond.conditioning import (
     anova_check,
     condition,
@@ -207,6 +211,17 @@ class TestLiftObservation:
         direct = evaluate(law, [2.0, -7.0])
         via_lift = evaluate(law, lift_observation(g, t, [2.0]))
         assert maxabs(direct.mean - via_lift.mean) <= 1e-12
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_lift_is_the_conditional_mean(self, seed, graded):
+        # y* = mu + D^(1/2) S^+ (obs - T mu) is E[Y | T Y = obs], so the law
+        # given T Y, evaluated at y*, has mean y*.
+        rng = np.random.default_rng(seed)
+        g, t = (random_graded_instance if graded else random_conditioning_instance)(rng)
+        state = lift_observation(g, t, t @ sample(g, 1, seed)[0])
+        mean = evaluate(condition(g, t), state).mean
+        assert maxabs(mean - state) <= 1e-9 * (1.0 + maxabs(state))
 
     def test_unattainable_observation_strict(self):
         # T kills the only direction the covariance spans, so any nonzero

@@ -159,6 +159,11 @@ class TestSampling:
         corr = float(np.corrcoef(z[:, 0], z[:, 1])[0, 1])
         assert abs(corr) <= band
 
+    def test_covariance_near_the_float_limit(self):
+        rows = sample(_law([0.0, 0.0], np.diag([1.7e308, 1.7e308])), 4, 0)
+        assert np.all(np.isfinite(rows))
+        assert np.all(np.any(rows != 0.0, axis=1))
+
     def test_zero_covariance_returns_mean(self):
         g = _law([2.0, -3.0], np.zeros((2, 2)))
         rows = sample(g, 4, 0)

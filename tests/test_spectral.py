@@ -47,6 +47,16 @@ class TestEigSym:
         assert dec.rank == 0
         assert np.array_equal(dec.eigenvalues, np.zeros(3))
 
+    def test_entries_near_the_float_limit(self):
+        # Symmetrizing by halves keeps finite entries finite.
+        dec = eig_sym(np.array([[0.0, 1e308], [1e308, 0.0]]))
+        assert np.array_equal(dec.eigenvalues, [1e308, -1e308])
+
+    def test_overflowing_spectrum_rejected(self):
+        # Finite entries whose largest eigenvalue exceeds the float range.
+        with pytest.raises(InvalidInput):
+            eig_sym(np.array([[1e308, 0.95e308], [0.95e308, 0.95e308]]))
+
     def test_deterministic_repeatable(self):
         a = random_symmetric(np.random.default_rng(5), 6)
         d1 = eig_sym(a)
