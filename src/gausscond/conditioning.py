@@ -13,15 +13,23 @@ Nothing here requires D or T to have full rank. The projectors of S come
 from the SVD of S itself, never from S^T S, so a direction of S counts
 as observed down to rank_tol_scale * max(m, n) * eps times the larger of
 sigma_max(S) and ||T|| ||D^(1/2)||, the scale of the roundoff in S.
+
+One SVD serves the law, the lift and the split: S, divided by its largest
+entry c and zero-padded to a square map, is factored once per (law, T,
+rank_tol_scale), and condition, lift_observation and decompose read P_row(S),
+S^+ and range(S) off it. A Gaussian keeps its most recent whitening, so
+those calls on one (law, T) whiten and factor S once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimError, InconsistentObservation
+from .errors import DimError, InconsistentObservation, InvalidInput
 from .gaussian import Gaussian, _map_on, _observed, _psd_clamped
 from .spectral import (
     DEFAULT_RANK_TOL_SCALE,
@@ -34,7 +42,7 @@ from .spectral import (
     frob,
     invertible_left_factor,
     maxabs,
-    row_space_projector,
+    orthonormal_columns,
 )
 
 
@@ -85,7 +93,8 @@ class Decomposition:
     support of the prior Y - M Y = affine_gain (T Y) + affine_offset, so
     the two summands reconstruct Y exactly. One SVD of the whitened map
     S = T D^(1/2), zero-padded to a square map, gives both its null
-    projector, hence M, and its invertible left factor, hence affine_gain.
+    projector, hence M, and its invertible left factor, hence affine_gain;
+    it is the same SVD that condition and lift_observation read.
     """
 
     independent_map: np.ndarray
@@ -107,13 +116,53 @@ class AnovaReport:
     residual: float
 
 
-def _whiten(g: Gaussian, t, rank_tol_scale):
+class _Whitening:
+    """S = T D^(1/2) of one (law, T, rank_tol_scale), factored once.
+
+    S is divided by its largest entry c and zero-padded to a square
+    k x k map, k = max(m, n). Its one SVD W Sigma V^T, cut by the map rank
+    rule with floor ||T|| ||D^(1/2)|| / c, gives P_row(S) = V_r V_r^T,
+    S^+ = V_r (Sigma_r c)^(-1) W_r^T, range(S) = W_r and decompose's left
+    factor, so every route shares one rank decision.
+    """
+
+    def __init__(self, g: Gaussian, tm: LinearMap, scale: float):
+        self.tm, self.scale = tm, scale
+        self.d_dec = g.cov.decomposition(scale)
+        self.root = self.d_dec.sqrt_matrix()
+        s = tm.entries @ self.root
+        # S carries roundoff of order eps * ||T|| ||D^(1/2)||, e.g. from a row
+        # of T that reads null(D); that product is the floor of its rank cut.
+        # U's unit singular values would carry roundoff of size eps * |S| out
+        # of range(S)^perp unscaled; at unit size that is eps for every scale.
+        self.size = maxabs(s) or 1.0
+        self.floor = frob(tm.entries) * frob(self.root) / self.size
+        k = max(tm.rows, tm.cols)
+        self.padded = LinearMap(np.pad(s / self.size, ((0, k - tm.rows), (0, k - tm.cols))))
+        self.w, self.sv, self.vt, self.rank = _map_svd(self.padded, scale, self.floor)
+
+    @cached_property
+    def pinv_root(self) -> np.ndarray:
+        return self.d_dec.pinv_sqrt_matrix()
+
+    @cached_property
+    def p_row(self) -> Projector:
+        v_r = self.vt[: self.rank, : self.tm.cols].T
+        out = v_r @ v_r.T
+        return Projector(out / 2.0 + out.T / 2.0, self.rank)
+
+
+def _whiten(g: Gaussian, t, rank_tol_scale) -> _Whitening:
+    # The law's one-entry slot, keyed by T's shape and bytes: an in-place
+    # edit of T never returns a stale record, and a new map replaces the old.
     tm = _map_on(g, t)
-    d_dec = g.cov.decomposition(rank_tol_scale)
-    root = d_dec.sqrt_matrix()
-    # S carries roundoff of order eps * ||T|| ||D^(1/2)||, e.g. from a row of
-    # T that reads null(D); that product is the floor of its rank cut.
-    return tm, d_dec, root, LinearMap(tm.entries @ root), frob(tm.entries) * frob(root)
+    scale = _resolve_rank_tol_scale(rank_tol_scale)
+    key = (tm.entries.shape, tm.entries.tobytes(), scale)
+    if g._whitening is not None and g._whitening[0] == key:
+        return g._whitening[1]
+    record = _Whitening(g, tm, scale)
+    object.__setattr__(g, "_whitening", (key, record))
+    return record
 
 
 def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> ConditionalLaw:
@@ -124,12 +173,17 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
     A zero T returns the prior itself; a full-rank square T collapses the
     covariance to zero.
     """
-    tm, d_dec, root, s, ref = _whiten(g, t, rank_tol_scale)
-    p_row = row_space_projector(s, rank_tol_scale, ref).entries
-    gain = root @ p_row @ d_dec.pinv_sqrt_matrix()
-    cov = _psd_clamped(root @ (np.eye(g.dim) - p_row) @ root, rank_tol_scale, frob(root) ** 2)
-    prior_null = Projector(d_dec.null_projector_matrix(), g.dim - d_dec.rank)
-    return ConditionalLaw(g.mean, gain, cov, prior_null, _resolve_rank_tol_scale(rank_tol_scale))
+    wh = _whiten(g, t, rank_tol_scale)
+    root, p_row = wh.root, wh.p_row.entries
+    # The roundoff floor of root (I - P) root; past the float limit no
+    # tolerance can be stated for it.
+    ref = frob(root) * frob(root)
+    if not math.isfinite(ref):
+        raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
+    gain = root @ p_row @ wh.pinv_root
+    cov = _psd_clamped(root @ (np.eye(g.dim) - p_row) @ root, wh.scale, ref)
+    prior_null = Projector(wh.d_dec.null_projector_matrix(), g.dim - wh.d_dec.rank)
+    return ConditionalLaw(g.mean, gain, cov, prior_null, wh.scale)
 
 
 def evaluate(law: ConditionalLaw, y, check_support: bool = False) -> Gaussian:
@@ -167,28 +221,18 @@ def decompose(g: Gaussian, t, rank_tol_scale: float | None = None) -> Decomposit
     restricted to range(S). P_row(S) and range(S) are read off the SVD
     that built U, so M and A share one rank decision.
     """
-    tm, d_dec, root, s, ref = _whiten(g, t, rank_tol_scale)
-    # U's unit singular values would carry roundoff of size eps * |S| out of
-    # range(S)^perp unscaled; at unit size that is eps for every scale of T.
-    size = maxabs(s.entries) or 1.0
-    k = max(tm.rows, tm.cols)
-    padded = LinearMap(np.pad(s.entries / size, ((0, k - tm.rows), (0, k - tm.cols))))
-    u = invertible_left_factor(padded, rank_tol_scale, ref / size)
-    w, _, vt, rank = _map_svd(padded, rank_tol_scale, ref / size)
-    v_r = vt[:rank, : tm.cols].T
-    out = v_r @ v_r.T
-    p_row = Projector((out + out.T) / 2.0, rank)
-    p_null = p_row.complement()
-    m_map = root @ p_null.entries @ d_dec.pinv_sqrt_matrix()
+    wh = _whiten(g, t, rank_tol_scale)
+    tm = wh.tm
+    u = invertible_left_factor(wh.padded, wh.scale, wh.floor)
+    m_map = wh.root @ wh.p_row.complement().entries @ wh.pinv_root
     # T Y - T mu never leaves range(S) on the support of the prior. Off it, U
     # is an arbitrary isometry that would carry rounding in T Y, scaled by the
     # rows of T that read null(D), into the split; the gain keeps U on range(S).
-    w_r = w[: tm.rows, :rank]
-    affine_gain = root @ (u[: tm.cols, : tm.rows] @ w_r) @ w_r.T / size
-    null_d = d_dec.null_projector_matrix()
+    w_r = orthonormal_columns(wh.padded, wh.scale, wh.floor)[: tm.rows]
+    affine_gain = wh.root @ (u[: tm.cols, : tm.rows] @ w_r) @ w_r.T / wh.size
+    null_d = wh.d_dec.null_projector_matrix()
     affine_offset = (np.eye(g.dim) - affine_gain @ tm.entries) @ (null_d @ g.mean)
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-    return Decomposition(m_map, affine_gain, affine_offset, scale)
+    return Decomposition(m_map, affine_gain, affine_offset, wh.scale)
 
 
 def endomorphism_reduction(t) -> LinearMap:
@@ -224,21 +268,24 @@ def lift_observation(
 ) -> np.ndarray:
     """Conditional mean E[Y | T Y = observed], a state y* with T y* = observed.
 
-    y* = mu + D^(1/2) S^+ (observed - T mu), with S^+ from the SVD of S
-    under the map rank rule, is mu + D T^T (T D T^T)^+ (observed - T mu),
-    the conditional mean; evaluating condition(g, t) at y* returns mean y*.
+    y* = mu + D^(1/2) S^+ (observed - T mu), with S^+ from the one SVD of S
+    that condition and decompose share, is the conditional mean
+    mu + D T^T (T D T^T)^+ (observed - T mu); evaluating condition(g, t)
+    at y* returns mean y*.
     It lands in the support mu + range(D) by design. When the observed
     vector is not attainable (it leaves the range of S), T y* only matches
     its attainable part, and with strict=True a mismatch above
     1e-8 (1 + ||observed||) raises InconsistentObservation.
     """
-    tm, _, root, s, ref = _whiten(g, t, rank_tol_scale)
+    tm = _map_on(g, t)
     obs = _observed(tm, observed)
     if tm.rows == 0:
         return g.mean.copy()
+    wh = _whiten(g, tm, rank_tol_scale)
     shift = obs - tm.entries @ g.mean
-    w, sv, vt, rank = _map_svd(s, rank_tol_scale, ref)
-    state = g.mean + root @ (vt[:rank].T @ ((w[:, :rank].T @ shift) / sv[:rank]))
+    r, m, n = wh.rank, tm.rows, tm.cols
+    coef = (wh.w[:m, :r].T @ shift) / (wh.sv[:r] * wh.size)
+    state = g.mean + wh.root @ (wh.vt[:r, :n].T @ coef)
     if strict:
         residual = float(np.linalg.norm(tm.entries @ state - obs))
         limit = 1e-8 * (1.0 + float(np.linalg.norm(obs)))

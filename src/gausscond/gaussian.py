@@ -15,7 +15,7 @@ build and equal to rounding across builds.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -36,10 +36,18 @@ INDEPENDENCE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Gaussian:
-    """Normal law N(mean, cov) on R^n; cov may be singular."""
+    """Normal law N(mean, cov) on R^n; cov may be singular.
+
+    A law keeps its most recent whitening S = T D^(1/2), with the one SVD
+    that condition, lift_observation and decompose read, in a one-entry
+    slot keyed by T's shape and bytes and the rank_tol_scale: the calls
+    of one (law, T) factor S once, an in-place edit of T misses the slot,
+    and the slot never holds more than one map.
+    """
 
     mean: np.ndarray
     cov: SymOperator
+    _whitening: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         mu = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -147,11 +155,13 @@ def _psd_clamped(
 ) -> SymOperator:
     # Keep entries untouched when the spectrum is already nonnegative;
     # clamp eigenvalues in (-tol, 0) introduced by round-off otherwise.
+    # Either way the result carries its decomposition, so a later gate
+    # on it (Gaussian, sample) does not factor it again.
     op = SymOperator(entries)
     dec = _psd_decomposition(op, rank_tol_scale, "matrix", ref)
     if dec.eigenvalues[-1] >= 0.0:
         return op
-    return SymOperator(dec._synthesize(np.maximum(dec.eigenvalues, 0.0)))
+    return dec._clamped(rank_tol_scale)
 
 
 def pushforward(g: Gaussian, s, rank_tol_scale: float | None = None) -> Gaussian:

@@ -226,7 +226,7 @@ class SpectralDecomposition:
     def _synthesize(self, diag: np.ndarray) -> np.ndarray:
         v = self.eigenvectors
         out = (v * diag) @ v.T
-        return (out + out.T) / 2.0
+        return out / 2.0 + out.T / 2.0
 
     def reconstruct(self) -> np.ndarray:
         return self._synthesize(self.eigenvalues)
@@ -252,10 +252,23 @@ class SpectralDecomposition:
     def range_projector_matrix(self) -> np.ndarray:
         v = self.eigenvectors[:, : self.rank]
         out = v @ v.T
-        return (out + out.T) / 2.0
+        return out / 2.0 + out.T / 2.0
 
     def null_projector_matrix(self) -> np.ndarray:
         return np.eye(self.dim) - self.range_projector_matrix()
+
+    def _clamped(self, rank_tol_scale: float | None = None) -> SymOperator:
+        """The operator with eigenvalues max(lambda, 0) on these eigenvectors.
+
+        Its decomposition is these eigenvectors with the clamped values,
+        certified against its own entries by eig_sym's checks and cached
+        under rank_tol_scale, so the operator is never factored again.
+        """
+        vals = np.maximum(self.eigenvalues, 0.0)
+        op = SymOperator(self._synthesize(vals))
+        scale = _resolve_rank_tol_scale(rank_tol_scale)
+        op._decomp_cache[scale] = _certified(op.entries, vals, self.eigenvectors, scale)
+        return op
 
 
 def eig_sym(a, rank_tol_scale: float | None = None) -> SpectralDecomposition:
@@ -273,22 +286,25 @@ def eig_sym(a, rank_tol_scale: float | None = None) -> SpectralDecomposition:
     vecs = vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.where(vecs[lead, np.arange(op.dim)] < 0.0, -1.0, 1.0)
+    return _certified(op.entries, vals, vecs, rank_tol_scale)
 
+
+def _certified(a: np.ndarray, vals, vecs, rank_tol_scale) -> SpectralDecomposition:
+    # Cheap accuracy certificate for eigenpairs (vals descending) of a;
+    # failure here means the solver did not reach its advertised accuracy,
+    # which callers must not paper over.
+    n = a.shape[0]
     largest = maxabs(vals)
-    tol = _cutoff(rank_tol_scale, op.dim, largest)
+    tol = _cutoff(rank_tol_scale, n, largest)
     rank = int(np.count_nonzero(vals > tol))
-
-    # Cheap accuracy certificate; failure here means the solver did not
-    # reach its advertised accuracy, which callers must not paper over.
-    gram = maxabs(vecs.T @ vecs - np.eye(op.dim))
-    if gram > ORTHONORMALITY_TOL * op.dim:
+    gram = maxabs(vecs.T @ vecs - np.eye(n))
+    if gram > ORTHONORMALITY_TOL * n:
         raise InvalidInput(f"eigenvector columns lost orthonormality: {gram:.3e}")
-    resid = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0)
+    resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
     limit = EIG_RESIDUAL_TOL * (1.0 + largest)
     worst = float(np.max(resid)) if resid.size else 0.0
     if worst > limit:
         raise InvalidInput(f"eigenpair residual {worst:.3e} exceeds {limit:.3e}")
-
     return SpectralDecomposition(vals, vecs, rank, tol)
 
 
@@ -327,16 +343,16 @@ def range_projector(a, rank_tol_scale: float | None = None) -> Projector:
     return Projector(dec.range_projector_matrix(), dec.rank)
 
 
-def row_space_projector(t, rank_tol_scale: float | None = None, ref: float = 0.0) -> Projector:
+def row_space_projector(t, rank_tol_scale: float | None = None) -> Projector:
     """Orthogonal projector onto the row space of a (possibly rectangular) map.
 
     Q Q^T with Q the right singular vectors of T whose singular values
-    exceed rank_tol_scale * max(m, n) * max(sigma_max, ref) * eps.
+    exceed rank_tol_scale * max(m, n) * sigma_max * eps.
     """
     tm = as_linear_map(t)
-    q = orthonormal_columns(tm.entries.T, rank_tol_scale, ref)
+    q = orthonormal_columns(tm.entries.T, rank_tol_scale)
     out = q @ q.T
-    return Projector((out + out.T) / 2.0, q.shape[1])
+    return Projector(out / 2.0 + out.T / 2.0, q.shape[1])
 
 
 def null_space_projector(t, rank_tol_scale: float | None = None) -> Projector:
@@ -350,14 +366,15 @@ def orthonormal_columns(
     """Orthonormal basis for the span of the given columns.
 
     The left singular vectors W_r of the matrix of columns, cut by the map
-    rank rule; smaller singular values count as dependence. The basis is
-    unique only up to a rotation within the span: callers use its span
-    and its size.
+    rank rule with floor ref; smaller singular values count as dependence.
+    The basis is unique only up to a rotation within the span: callers use
+    its span and its size. A LinearMap is read through its cached SVD.
     """
-    c = np.asarray(candidates, dtype=float)
+    tm = candidates if isinstance(candidates, LinearMap) else None
+    c = tm.entries if tm is not None else np.asarray(candidates, dtype=float)
     if c.ndim == 2 and min(c.shape) == 0:
         return np.zeros((c.shape[0], 0))
-    w, _, _, rank = _map_svd(LinearMap(c), rank_tol_scale, ref)
+    w, _, _, rank = _map_svd(tm if tm is not None else LinearMap(c), rank_tol_scale, ref)
     return w[:, :rank]
 
 
@@ -398,8 +415,9 @@ def invertible_left_factor(t, rank_tol_scale: float | None = None, ref: float = 
     U = V_r Sigma_r^(-1) W_r^T + V_perp W_perp^T: it sends each T v_j
     back to v_j and range(T)^perp isometrically onto null(T). Its
     singular values are 1/sigma_j(T) and ones. A zero map yields the
-    identity. ref is as in row_space_projector; T is known only to
-    eps * ref, so the residual bound scales with max(||T||, ref).
+    identity. ref is the size of a product that computed T, which is
+    then known only to eps * ref: it floors the rank cut, and the
+    residual bound scales with max(||T||, ref).
     """
     tm = as_linear_map(t)
     if tm.rows != tm.cols:

@@ -7,6 +7,8 @@ from gausscond.checks import (
     random_conditioning_instance,
     random_gaussian,
     random_graded_instance,
+    random_map,
+    random_psd,
 )
 from gausscond.conditioning import (
     anova_check,
@@ -94,6 +96,19 @@ class TestEvaluate:
             evaluate(law, bad, check_support=True)
         # The default is permissive so callers can probe the affine family.
         evaluate(law, bad)
+
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_samples_of_an_evaluated_law_stay_in_its_support(self, seed):
+        # sample reads the decomposition the law's covariance carries from the
+        # PSD clamp; a fresh factorization of the same entries is the reference.
+        rng = np.random.default_rng(seed)
+        g, t = random_conditioning_instance(rng)
+        law = evaluate(condition(g, t), sample(g, 1, seed)[0])
+        rows = sample(law, 25, seed)
+        null_proj = SymOperator(law.cov.entries).decomposition().null_projector_matrix()
+        assert maxabs(null_proj @ (rows - law.mean).T) <= 1e-9 * (1.0 + frob(g.cov.entries))
 
 
 class TestDecompose:
@@ -270,3 +285,88 @@ class TestSingularCases:
         # Conditioning never adds variance: D - G is PSD too.
         gap = np.linalg.eigvalsh(g.cov.entries - law.cov.entries)
         assert float(gap.min()) >= -1e-9 * (1.0 + frob(g.cov.entries))
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts of np.linalg.eigh and of np.linalg.svd with singular vectors."""
+    calls = {"svd": 0, "eigh": 0}
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+
+    def counting_svd(a, *args, **kwargs):
+        calls["svd"] += int(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    def counting_eigh(a, *args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def _fresh(g):
+    # The same law without its whitening slot.
+    return Gaussian(g.mean, g.cov)
+
+
+def _same_results(g, t, ref_g, ref_t, rank_tol_scale=None):
+    law, ref = condition(g, t, rank_tol_scale), condition(ref_g, ref_t, rank_tol_scale)
+    assert np.array_equal(law.gain, ref.gain)
+    assert np.array_equal(law.cov.entries, ref.cov.entries)
+    obs = ref_t @ sample(ref_g, 1, 0)[0]
+    assert np.array_equal(lift_observation(g, t, obs, rank_tol_scale),
+                          lift_observation(ref_g, ref_t, obs, rank_tol_scale))
+    dec = decompose(g, t, rank_tol_scale)
+    ref_dec = decompose(ref_g, ref_t, rank_tol_scale)
+    assert np.array_equal(dec.independent_map, ref_dec.independent_map)
+    assert np.array_equal(dec.affine_gain, ref_dec.affine_gain)
+    return law
+
+
+class TestWhitening:
+    """One whitening and one SVD of S serve condition, lift_observation and decompose."""
+
+    def test_fresh_chain_factors_once(self, factorizations):
+        rng = np.random.default_rng(64)
+        mean, cov = rng.uniform(-2.0, 2.0, 64), random_psd(rng, 64, 48)
+        t = random_map(rng, 32, 64, 32)
+        g = Gaussian(mean, SymOperator(cov))
+        law = condition(g, t)
+        state = lift_observation(g, t, t @ sample(g, 1, 0)[0])
+        evaluate(law, state)
+        decompose(g, t)
+        # eigh: the law's PSD gate and the conditional covariance's clamp; the
+        # gate of evaluate's result reads the decomposition the clamp carries.
+        # svd: the padded S; invertible_left_factor's sigma_min is not counted.
+        assert factorizations == {"svd": 1, "eigh": 2}
+
+    def test_in_place_edit_of_the_map_gives_the_new_law(self):
+        rng = np.random.default_rng(5)
+        g = random_gaussian(rng, 6, 5)
+        t = random_map(rng, 3, 6, 3)
+        before = condition(g, t)
+        t[1] = 2.0 * t[0] - t[2]
+        law = _same_results(g, t, _fresh(g), t.copy())
+        assert not np.array_equal(law.gain, before.gain)
+
+    def test_another_rank_tol_scale_misses_the_slot(self, factorizations):
+        # sigma = 1e-12 clears the cut 100 * 2 * eps but not 1e4 * 2 * eps.
+        g = _law([0.0, 0.0], np.eye(2))
+        t = np.diag([1.0, 1e-12])
+        assert maxabs(condition(g, t).cov.entries) == 0.0
+        assert np.array_equal(condition(g, t, 1e4).cov.entries, np.diag([0.0, 1.0]))
+        assert maxabs(condition(g, t).cov.entries) == 0.0
+        assert factorizations["svd"] == 3
+        _same_results(g, t, _fresh(g), t, 1e4)
+
+    def test_slot_holds_one_map(self, factorizations):
+        rng = np.random.default_rng(6)
+        g = random_gaussian(rng, 5, 4)
+        t1, t2 = random_map(rng, 2, 5, 2), random_map(rng, 3, 5, 2)
+        for t in (t1, t2, t1, t1):
+            condition(g, t)
+        assert factorizations["svd"] == 3
+        _same_results(g, t1, _fresh(g), t1)
+        _same_results(g, t2, _fresh(g), t2)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscond.checks import random_gaussian, random_map
+from gausscond.checks import random_gaussian, random_map, random_orthogonal
 from gausscond.errors import DimError, InvalidInput, NotPositive
 from gausscond.gaussian import (
     Gaussian,
+    _psd_clamped,
     char_fn,
     independence_test,
     joint,
@@ -16,7 +17,14 @@ from gausscond.gaussian import (
     sample,
     standard_normal_rows,
 )
-from gausscond.spectral import SymOperator, frob, maxabs
+from gausscond.spectral import (
+    EIG_RESIDUAL_TOL,
+    ORTHONORMALITY_TOL,
+    SymOperator,
+    eig_sym,
+    frob,
+    maxabs,
+)
 
 
 def _law(mean, cov):
@@ -111,6 +119,28 @@ class TestPushforwardAndJoint:
         assert jg.block_split == 0
         with pytest.raises(DimError):
             jg.marginal_first()
+
+
+class TestPsdClamp:
+    def test_clamped_operator_carries_a_certified_decomposition(self, monkeypatch):
+        q = random_orthogonal(np.random.default_rng(8), 5)
+        entries = (q * [3.0, 1.0, 0.5, 0.0, -1e-15]) @ q.T
+        assert np.linalg.eigvalsh(entries)[0] < 0.0
+        op = _psd_clamped(entries, None)
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(1) or eigh(a, *args))
+        dec = op.decomposition()
+        assert calls == []
+        vals, vecs = dec.eigenvalues, dec.eigenvectors
+        assert vals[-1] == 0.0 and np.all(vals >= 0.0)
+        resid = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0)
+        assert float(np.max(resid)) <= EIG_RESIDUAL_TOL * (1.0 + maxabs(vals))
+        assert maxabs(vecs.T @ vecs - np.eye(5)) <= ORTHONORMALITY_TOL * 5
+        fresh = eig_sym(op.entries)
+        assert calls == [1]
+        assert fresh.rank == dec.rank == 3
+        assert maxabs(fresh.eigenvalues - vals) <= 1e-12 * 3.0
 
 
 class TestIndependence:

@@ -10,7 +10,10 @@ here checks a closed form or an invariance of the law, not a second
 formula.
 """
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,7 @@ from gausscond.checks import (
     random_graded_instance,
     random_map,
 )
+from gausscond.cli import main
 from gausscond.conditioning import (
     anova_check,
     condition,
@@ -27,6 +31,7 @@ from gausscond.conditioning import (
     evaluate,
     lift_observation,
 )
+from gausscond.errors import InvalidInput
 from gausscond.gaussian import Gaussian, sample
 from gausscond.spectral import SymOperator, frob, maxabs
 
@@ -153,3 +158,21 @@ def test_repeated_rows_leave_the_law_unchanged(seed, graded):
     ref_state = lift_observation(g, t, t @ y)
     state = lift_observation(g, tt, tt @ y)
     assert maxabs(state - ref_state) <= 1e-9 * (1.0 + maxabs(ref_state))
+
+
+def test_covariance_near_the_float_limit_is_rejected_cleanly(tmp_path):
+    # ||D^(1/2)||_F^2 = trace D exceeds the float range, so no roundoff floor
+    # can be stated for the conditional covariance: InvalidInput, CLI exit 2,
+    # never a bare OverflowError. The lift and the split need no such floor.
+    g = _law([0.0, 0.0], np.diag([1.7e308, 1.7e308]))
+    t = np.array([[1.0, 0.0]])
+    with pytest.raises(InvalidInput):
+        condition(g, t)
+    assert maxabs(lift_observation(g, t, [2.0]) - [2.0, 0.0]) <= 1e-12
+    assert maxabs(decompose(g, t).independent_map - np.diag([0.0, 1.0])) <= 1e-12
+    paths = []
+    for name, obj in (("model", {"mean": [0.0, 0.0], "cov": np.diag([1.7e308] * 2).tolist()}),
+                      ("t", t.tolist()), ("y", [2.0])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        paths.append(str(tmp_path / f"{name}.json"))
+    assert main(["condition", *paths]) == 2

@@ -52,6 +52,13 @@ class TestEigSym:
         dec = eig_sym(np.array([[0.0, 1e308], [1e308, 0.0]]))
         assert np.array_equal(dec.eigenvalues, [1e308, -1e308])
 
+    def test_reconstruct_near_the_float_limit(self):
+        # Halves first when symmetrizing the synthesis, so no sum overflows.
+        a = np.array([[0.0, 1e308], [1e308, 0.0]])
+        back = eig_sym(a).reconstruct()
+        assert np.all(np.isfinite(back))
+        assert maxabs(back - a) <= 1e-15 * 1e308
+
     def test_overflowing_spectrum_rejected(self):
         # Finite entries whose largest eigenvalue exceeds the float range.
         with pytest.raises(InvalidInput):
@@ -151,6 +158,16 @@ class TestOrthonormalColumns:
     def test_empty_input(self):
         assert orthonormal_columns(np.zeros((4, 0))).shape == (4, 0)
         assert orthonormal_columns(np.zeros((4, 2))).shape == (4, 0)
+        assert orthonormal_columns(LinearMap(np.zeros((4, 2)))).shape == (4, 0)
+        assert orthonormal_columns(LinearMap(np.zeros((0, 3)))).shape == (0, 0)
+
+    def test_linear_map_reads_its_cached_svd(self):
+        c = random_map(np.random.default_rng(4), 5, 3, 2)
+        tm = LinearMap(c)
+        q = orthonormal_columns(tm)
+        assert np.array_equal(q, orthonormal_columns(c))
+        assert q.shape == (5, 2)
+        assert np.array_equal(q, tm.svd[0][:, :2])
 
 
 class TestLU:
