@@ -15,10 +15,11 @@ as observed down to rank_tol_scale * max(m, n) * eps times the larger of
 sigma_max(S) and ||T|| ||D^(1/2)||, the scale of the roundoff in S.
 
 One SVD serves the law, the lift and the split: S, divided by its largest
-entry c and zero-padded to a square map, is factored once per (law, T,
-rank_tol_scale), and condition, lift_observation and decompose read P_row(S),
-S^+ and range(S) off it. A Gaussian keeps its most recent whitening, so
-those calls on one (law, T) whiten and factor S once.
+entry c, is factored once per (law, T, rank_tol_scale) at its own m x n
+shape, and that SVD, completed by identities, is the SVD of S / c
+zero-padded to a square map. condition, lift_observation and decompose
+read P_row(S), S^+ and range(S) off it. A Gaussian keeps its most recent
+whitening, so those calls on one (law, T) whiten and factor S once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .spectral import (
     SymOperator,
     _map_svd,
     _resolve_rank_tol_scale,
+    _zero_padded,
     as_linear_map,
     frob,
     invertible_left_factor,
@@ -92,9 +94,10 @@ class Decomposition:
     M = independent_map applied to Y is independent of T Y, and on the
     support of the prior Y - M Y = affine_gain (T Y) + affine_offset, so
     the two summands reconstruct Y exactly. One SVD of the whitened map
-    S = T D^(1/2), zero-padded to a square map, gives both its null
-    projector, hence M, and its invertible left factor, hence affine_gain;
-    it is the same SVD that condition and lift_observation read.
+    S = T D^(1/2), completed by identities to the SVD of S zero-padded to
+    a square map, gives both its null projector, hence M, and the padded
+    map's invertible left factor, hence affine_gain; it is the same SVD
+    that condition and lift_observation read.
     """
 
     independent_map: np.ndarray
@@ -120,10 +123,11 @@ class _Whitening:
     """S = T D^(1/2) of one (law, T, rank_tol_scale), factored once.
 
     S is divided by its largest entry c and zero-padded to a square
-    k x k map, k = max(m, n). Its one SVD W Sigma V^T, cut by the map rank
-    rule with floor ||T|| ||D^(1/2)|| / c, gives P_row(S) = V_r V_r^T,
-    S^+ = V_r (Sigma_r c)^(-1) W_r^T, range(S) = W_r and decompose's left
-    factor, so every route shares one rank decision.
+    k x k map, k = max(m, n). Its SVD W Sigma V^T is one full SVD of S / c
+    at its own m x n shape, completed by identities (spectral._zero_padded).
+    Cut by the map rank rule with floor ||T|| ||D^(1/2)|| / c, it gives
+    P_row(S) = V_r V_r^T, S^+ = V_r (Sigma_r c)^(-1) W_r^T, range(S) = W_r
+    and decompose's left factor, so every route shares one rank decision.
     """
 
     def __init__(self, g: Gaussian, tm: LinearMap, scale: float):
@@ -133,12 +137,11 @@ class _Whitening:
         s = tm.entries @ self.root
         # S carries roundoff of order eps * ||T|| ||D^(1/2)||, e.g. from a row
         # of T that reads null(D); that product is the floor of its rank cut.
-        # U's unit singular values would carry roundoff of size eps * |S| out
-        # of range(S)^perp unscaled; at unit size that is eps for every scale.
+        # At unit size the left factor's residual bound, which grows with
+        # ||S||, stays tight for every scale of T.
         self.size = maxabs(s) or 1.0
         self.floor = frob(tm.entries) * frob(self.root) / self.size
-        k = max(tm.rows, tm.cols)
-        self.padded = LinearMap(np.pad(s / self.size, ((0, k - tm.rows), (0, k - tm.cols))))
+        self.padded = _zero_padded(s / self.size)
         self.w, self.sv, self.vt, self.rank = _map_svd(self.padded, scale, self.floor)
 
     @cached_property
@@ -182,8 +185,7 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
         raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
     gain = root @ p_row @ wh.pinv_root
     cov = _psd_clamped(root @ (np.eye(g.dim) - p_row) @ root, wh.scale, ref)
-    prior_null = Projector(wh.d_dec.null_projector_matrix(), g.dim - wh.d_dec.rank)
-    return ConditionalLaw(g.mean, gain, cov, prior_null, wh.scale)
+    return ConditionalLaw(g.mean, gain, cov, wh.d_dec.null_projector, wh.scale)
 
 
 def evaluate(law: ConditionalLaw, y, check_support: bool = False) -> Gaussian:
@@ -218,19 +220,20 @@ def decompose(g: Gaussian, t, rank_tol_scale: float | None = None) -> Decomposit
     its largest entry c, is zero-padded to a square k x k map,
     k = max(m, n), whose invertible left factor U has
     U[:n, :m] S / c = P_row(S); the gain is A = D^(1/2) U[:n, :m] / c
-    restricted to range(S). P_row(S) and range(S) are read off the SVD
-    that built U, so M and A share one rank decision.
+    restricted to range(S). U, P_row(S) and range(S) are read off the one
+    SVD of S / c at its own shape, so M and A share one rank decision.
     """
     wh = _whiten(g, t, rank_tol_scale)
     tm = wh.tm
     u = invertible_left_factor(wh.padded, wh.scale, wh.floor)
     m_map = wh.root @ wh.p_row.complement().entries @ wh.pinv_root
     # T Y - T mu never leaves range(S) on the support of the prior. Off it, U
-    # is an arbitrary isometry that would carry rounding in T Y, scaled by the
-    # rows of T that read null(D), into the split; the gain keeps U on range(S).
+    # is an arbitrary map onto null(S) that would carry rounding in T Y,
+    # scaled by the rows of T that read null(D), into the split; the gain
+    # keeps U on range(S).
     w_r = orthonormal_columns(wh.padded, wh.scale, wh.floor)[: tm.rows]
     affine_gain = wh.root @ (u[: tm.cols, : tm.rows] @ w_r) @ w_r.T / wh.size
-    null_d = wh.d_dec.null_projector_matrix()
+    null_d = wh.d_dec.null_projector.entries
     affine_offset = (np.eye(g.dim) - affine_gain @ tm.entries) @ (null_d @ g.mean)
     return Decomposition(m_map, affine_gain, affine_offset, wh.scale)
 

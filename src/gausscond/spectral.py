@@ -8,7 +8,8 @@ Everything downstream rests on four primitives built here:
   operators, with a shared notion of numerical rank,
 * orthogonal projectors onto ranges, row spaces and null spaces,
 * an invertible completion U of a square map T with U T equal to the
-  orthogonal projector onto the row space of T.
+  orthogonal projector onto the row space of T, certified through its
+  closed-form inverse.
 
 Numerical rank has one cutoff, ``rank_tol_scale * dim * eps * max(size,
 ref)``: for symmetric operators dim is n and size is max|lambda|; for
@@ -40,7 +41,7 @@ PROJECTOR_SYM_TOL = 1e-12
 PROJECTOR_IDEMPOTENT_TOL = 1e-10
 PROJECTOR_TRACE_TOL = 1e-8
 LEFT_FACTOR_TOL = 1e-9              # scaled by 1 + ||T||
-LU_PIVOT_TOL = 1e-12                # min singular value of U, scaled by ||U||
+LU_PIVOT_TOL = 1e-12                # lower bound on sigma_min(U), scaled by ||U||
 
 
 def _resolve_rank_tol_scale(rank_tol_scale: float | None) -> float:
@@ -149,8 +150,29 @@ class LinearMap:
 
     @cached_property
     def svd(self) -> tuple:
-        """Thin SVD (W, sigma, V^T), computed once per map."""
+        """Thin SVD (W, sigma, V^T), computed once per map; _zero_padded seeds it."""
         return np.linalg.svd(self.entries, full_matrices=False)
+
+
+def _zero_padded(a: np.ndarray) -> LinearMap:
+    """The m x n matrix a, zero-padded to a square k x k map, k = max(m, n).
+
+    One full SVD W Sigma V^T of a at its own shape gives the padded map's
+    SVD by identity completion: W (+) I_{k-m}, sigma followed by
+    k - min(m, n) exact zeros, and V^T (+) I_{k-n}. It is held where
+    LinearMap.svd caches, so every reader of the padded map shares it.
+    A 0-row a is the zero map, with identity singular vectors.
+    """
+    m, n = a.shape
+    k = max(m, n)
+    entries = np.zeros((k, k))
+    entries[:m, :n] = a
+    tm = LinearMap(entries)
+    w, sv, vt = np.eye(k), np.zeros(k), np.eye(k)
+    if m:
+        w[:m, :m], sv[: min(m, n)], vt[:n, :n] = np.linalg.svd(a, full_matrices=True)
+    tm.__dict__["svd"] = (w, sv, vt)
+    return tm
 
 
 def as_linear_map(a) -> LinearMap:
@@ -256,6 +278,11 @@ class SpectralDecomposition:
 
     def null_projector_matrix(self) -> np.ndarray:
         return np.eye(self.dim) - self.range_projector_matrix()
+
+    @cached_property
+    def null_projector(self) -> Projector:
+        """The certified projector onto the null space, built once per decomposition."""
+        return Projector(self.null_projector_matrix(), self.dim - self.rank)
 
     def _clamped(self, rank_tol_scale: float | None = None) -> SymOperator:
         """The operator with eigenvalues max(lambda, 0) on these eigenvectors.
@@ -412,12 +439,15 @@ def invertible_left_factor(t, rank_tol_scale: float | None = None, ref: float = 
 
     T must be square. From one SVD T = W Sigma V^T, cut by the map rank
     rule into a kept part (r) and the rest (perp), the factor is
-    U = V_r Sigma_r^(-1) W_r^T + V_perp W_perp^T: it sends each T v_j
-    back to v_j and range(T)^perp isometrically onto null(T). Its
-    singular values are 1/sigma_j(T) and ones. A zero map yields the
-    identity. ref is the size of a product that computed T, which is
+    U = V_r Sigma_r^(-1) W_r^T + sigma_max^(-1) V_perp W_perp^T: it sends
+    each T v_j back to v_j and range(T)^perp onto null(T) at T's own
+    scale. Its singular values are 1/sigma_j(T) and 1/sigma_max(T), so
+    its conditioning does not depend on the scale of T. A zero map yields
+    the identity. ref is the size of a product that computed T, which is
     then known only to eps * ref: it floors the rank cut, and the
-    residual bound scales with max(||T||, ref).
+    residual bound scales with max(||T||, ref). Invertibility is
+    certified from U's closed-form inverse X = W diag(sigma_r, sigma_max) V^T
+    without another factorization.
     """
     tm = as_linear_map(t)
     if tm.rows != tm.cols:
@@ -425,8 +455,11 @@ def invertible_left_factor(t, rank_tol_scale: float | None = None, ref: float = 
     w, sv, vt, rank = _map_svd(tm, rank_tol_scale, ref)
     if rank == 0:
         return np.eye(tm.cols)
+    # The kept singular values, with sigma_max in place of those cut.
+    d = sv.copy()
+    d[rank:] = sv[0]
+    out = (vt.T / d) @ w.T
     v_r = vt[:rank].T
-    out = (v_r / sv[:rank]) @ w[:, :rank].T + vt[rank:].T @ w[:, rank:].T
 
     resid = maxabs(out @ tm.entries - v_r @ v_r.T)
     limit = LEFT_FACTOR_TOL * (1.0 + max(tm.norm(), ref))
@@ -435,9 +468,13 @@ def invertible_left_factor(t, rank_tol_scale: float | None = None, ref: float = 
             f"left factor residual {resid:.3e} exceeds {limit:.3e}; "
             "the map is too ill-conditioned for this construction"
         )
-    sigma_min = float(np.linalg.norm(out, -2))
-    if sigma_min <= LU_PIVOT_TOL * frob(out):
+    # With E = U X - I and ||E||_F < 1, sigma_min(U) >= (1 - ||E||_F) / ||X||_F
+    # (Golub & Van Loan, 2.3): a bound never above the true sigma_min.
+    inverse = (w * d) @ vt
+    defect = frob(out @ inverse - np.eye(tm.cols))
+    bound = (1.0 - defect) / frob(inverse)
+    if defect >= 1.0 or bound <= LU_PIVOT_TOL * frob(out):
         raise InvalidInput(
-            f"left factor is numerically singular (min singular value {sigma_min:.3e})"
+            f"left factor is numerically singular (min singular value bound {bound:.3e})"
         )
     return out

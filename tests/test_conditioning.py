@@ -287,25 +287,6 @@ class TestSingularCases:
         assert float(gap.min()) >= -1e-9 * (1.0 + frob(g.cov.entries))
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Counts of np.linalg.eigh and of np.linalg.svd with singular vectors."""
-    calls = {"svd": 0, "eigh": 0}
-    svd, eigh = np.linalg.svd, np.linalg.eigh
-
-    def counting_svd(a, *args, **kwargs):
-        calls["svd"] += int(kwargs.get("compute_uv", True))
-        return svd(a, *args, **kwargs)
-
-    def counting_eigh(a, *args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    return calls
-
-
 def _fresh(g):
     # The same law without its whitening slot.
     return Gaussian(g.mean, g.cov)
@@ -339,8 +320,18 @@ class TestWhitening:
         decompose(g, t)
         # eigh: the law's PSD gate and the conditional covariance's clamp; the
         # gate of evaluate's result reads the decomposition the clamp carries.
-        # svd: the padded S; invertible_left_factor's sigma_min is not counted.
+        # svd: S at its own shape, which is also the padded S's SVD.
         assert factorizations == {"svd": 1, "eigh": 2}
+
+    def test_one_prior_null_projector_per_decomposition(self):
+        rng = np.random.default_rng(7)
+        g = random_gaussian(rng, 6, 4)
+        t1, t2 = random_map(rng, 2, 6, 2), random_map(rng, 3, 6, 3)
+        null_d = g.cov.decomposition().null_projector
+        assert condition(g, t1).prior_null_projector is null_d
+        assert condition(g, t2).prior_null_projector is null_d
+        assert maxabs(null_d.entries - g.cov.decomposition().null_projector_matrix()) == 0.0
+        assert null_d.subspace_rank == 2
 
     def test_in_place_edit_of_the_map_gives_the_new_law(self):
         rng = np.random.default_rng(5)

@@ -7,6 +7,7 @@ from gausscond.checks import random_map, random_psd, random_symmetric
 from gausscond.errors import DimError, InvalidInput, NotPositive
 from gausscond.spectral import (
     LinearMap,
+    _zero_padded,
     Projector,
     SymOperator,
     as_linear_map,
@@ -204,16 +205,55 @@ class TestInvertibleLeftFactor:
 
     @given(st.integers(0, 10_000), st.integers(1, 7))
     @settings(max_examples=40, deadline=None)
-    def test_singular_values_are_inverse_and_ones(self, seed, n):
+    def test_singular_values_are_inverse_and_inverse_max(self, seed, n):
         # U is exactly as well-conditioned as T allows: it inverts T's
-        # nonzero singular values and is an isometry on the rest.
+        # nonzero singular values and sends the rest of range(T)^perp onto
+        # null(T) at 1/sigma_max, T's own scale.
         rng = np.random.default_rng(seed)
         rank = int(rng.integers(0, n + 1))
         t = random_map(rng, n, n, rank)
         sv_t = np.linalg.svd(t, compute_uv=False)[:rank]
-        expect = np.sort(np.concatenate([1.0 / sv_t, np.ones(n - rank)]))
+        fill = 1.0 / sv_t[0] if rank else 1.0
+        expect = np.sort(np.concatenate([1.0 / sv_t, np.full(n - rank, fill)]))
         got = np.sort(np.linalg.svd(invertible_left_factor(t), compute_uv=False))
         assert np.all(np.abs(got - expect) <= 1e-9 * expect)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-12, 1.0, 1e12, 1e200])
+    def test_any_scale_of_the_map(self, scale):
+        # U T - P_row is scale-free, and so is U's conditioning.
+        rng = np.random.default_rng(0)
+        maps = [np.diag([1.0, 0.5, 0.0, 0.0])]
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            maps.append(random_map(rng, n, n, int(rng.integers(0, n + 1))))
+        for t in maps:
+            u = invertible_left_factor(t * scale)
+            assert maxabs(u @ (t * scale) - row_space_projector(t).entries) <= 1e-9
+
+
+class TestZeroPadded:
+    """One SVD of a at its own shape is the SVD of a zero-padded to a square."""
+
+    @pytest.mark.parametrize("m, n, rank", [(2, 5, 2), (4, 4, 3), (6, 3, 3), (0, 4, 0), (3, 5, 0)])
+    def test_assembled_svd(self, m, n, rank, factorizations):
+        a = random_map(np.random.default_rng(m * 10 + n), m, n, rank)
+        tm = _zero_padded(a)
+        k = max(m, n)
+        assert tm.entries.shape == (k, k)
+        assert np.array_equal(tm.entries[:m, :n], a)
+        assert maxabs(tm.entries[m:]) == 0.0 and maxabs(tm.entries[:, n:]) == 0.0
+        w, sv, vt = tm.svd
+        assert maxabs((w * sv) @ vt - tm.entries) <= 1e-14 * max(k, maxabs(a))
+        assert maxabs(w.T @ w - np.eye(k)) <= 1e-14 * k
+        assert maxabs(vt @ vt.T - np.eye(k)) <= 1e-14 * k
+        assert np.all(np.diff(sv) <= 0.0)
+        assert np.all(sv[min(m, n):] == 0.0)
+        # A 0-row map needs no factorization at all.
+        assert factorizations["svd"] == int(m > 0)
+        assert orthonormal_columns(tm).shape == (k, rank)
+        u = invertible_left_factor(tm)
+        assert maxabs(u @ tm.entries - row_space_projector(tm).entries) <= 1e-12
+        assert factorizations["svd"] == int(m > 0) + 1  # row_space_projector's own SVD
 
 
 class TestTypes:
