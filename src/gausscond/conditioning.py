@@ -17,9 +17,10 @@ sigma_max(S) and ||T|| ||D^(1/2)||, the scale of the roundoff in S.
 One SVD serves the law, the lift and the split: S, divided by its largest
 entry c, is factored once per (law, T, rank_tol_scale) at its own m x n
 shape, and that SVD, completed by identities, is the SVD of S / c
-zero-padded to a square map. condition, lift_observation and decompose
-read P_row(S), S^+ and range(S) off it. A Gaussian keeps its most recent
-whitening, so those calls on one (law, T) whiten and factor S once.
+zero-padded to a square map. A Gaussian keeps its most recent whitening,
+a record that forms each map of (D, T) once: P_row(S), S^+, range(S), the
+law and the split. condition, lift_observation and decompose only read it,
+so repeat calls on one (law, T) recompute nothing.
 """
 
 from __future__ import annotations
@@ -69,18 +70,15 @@ class ConditionalLaw:
     rank_tol_scale: float = DEFAULT_RANK_TOL_SCALE
 
     def __post_init__(self):
-        mu = np.asarray(self.prior_mean, dtype=float).reshape(-1)
-        k = np.asarray(self.gain, dtype=float)
+        mu = np.array(self.prior_mean, dtype=float).reshape(-1)
+        k = np.array(self.gain, dtype=float)
         if k.shape != (mu.size, mu.size):
             raise DimError(f"gain shape {k.shape} does not match dim {mu.size}")
         if self.cov.dim != mu.size or self.prior_null_projector.dim != mu.size:
             raise DimError("covariance or projector dimension mismatch")
-        mu = mu.copy()
-        mu.setflags(write=False)
-        k = k.copy()
-        k.setflags(write=False)
-        object.__setattr__(self, "prior_mean", mu)
-        object.__setattr__(self, "gain", k)
+        for name, arr in (("prior_mean", mu), ("gain", k)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -97,7 +95,8 @@ class Decomposition:
     S = T D^(1/2), completed by identities to the SVD of S zero-padded to
     a square map, gives both its null projector, hence M, and the padded
     map's invertible left factor, hence affine_gain; it is the same SVD
-    that condition and lift_observation read.
+    that condition and lift_observation read. Repeat calls share one
+    split, so its arrays are read-only.
     """
 
     independent_map: np.ndarray
@@ -128,10 +127,13 @@ class _Whitening:
     Cut by the map rank rule with floor ||T|| ||D^(1/2)|| / c, it gives
     P_row(S) = V_r V_r^T, S^+ = V_r (Sigma_r c)^(-1) W_r^T, range(S) = W_r
     and decompose's left factor, so every route shares one rank decision.
+    D^(1/2), its pseudo-inverse, P_row(S), root_null = D^(1/2) P_null(S),
+    the law and the Decomposition are formed on first use and kept. It holds
+    the prior mean, not the Gaussian, so it makes no reference cycle.
     """
 
     def __init__(self, g: Gaussian, tm: LinearMap, scale: float):
-        self.tm, self.scale = tm, scale
+        self.mean, self.tm, self.scale = g.mean, tm, scale
         self.d_dec = g.cov.decomposition(scale)
         self.root = self.d_dec.sqrt_matrix()
         s = tm.entries @ self.root
@@ -154,6 +156,39 @@ class _Whitening:
         out = v_r @ v_r.T
         return Projector(out / 2.0 + out.T / 2.0, self.rank)
 
+    @cached_property
+    def root_null(self) -> np.ndarray:
+        return self.root @ (np.eye(self.tm.cols) - self.p_row.entries)
+
+    @cached_property
+    def law(self) -> ConditionalLaw:
+        root, p_row = self.root, self.p_row.entries
+        # The roundoff floor of root (I - P) root; past the float limit no
+        # tolerance can be stated for it.
+        ref = frob(root) * frob(root)
+        if not math.isfinite(ref):
+            raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
+        gain = root @ p_row @ self.pinv_root
+        cov = _psd_clamped(self.root_null @ root, self.scale, ref)
+        return ConditionalLaw(self.mean, gain, cov, self.d_dec.null_projector, self.scale)
+
+    @cached_property
+    def decomposition(self) -> Decomposition:
+        tm = self.tm
+        u = invertible_left_factor(self.padded, self.scale, self.floor)
+        m_map = self.root_null @ self.pinv_root
+        # T Y - T mu never leaves range(S) on the support of the prior. Off it, U
+        # is an arbitrary map onto null(S) that would carry rounding in T Y,
+        # scaled by the rows of T that read null(D), into the split; the gain
+        # keeps U on range(S).
+        w_r = orthonormal_columns(self.padded, self.scale, self.floor)[: tm.rows]
+        affine_gain = self.root @ (u[: tm.cols, : tm.rows] @ w_r) @ w_r.T / self.size
+        null_d = self.d_dec.null_projector.entries
+        affine_offset = (np.eye(tm.cols) - affine_gain @ tm.entries) @ (null_d @ self.mean)
+        for shared in (m_map, affine_gain, affine_offset):
+            shared.setflags(write=False)
+        return Decomposition(m_map, affine_gain, affine_offset, self.scale)
+
 
 def _whiten(g: Gaussian, t, rank_tol_scale) -> _Whitening:
     # The law's one-entry slot, keyed by T's shape and bytes: an in-place
@@ -161,11 +196,9 @@ def _whiten(g: Gaussian, t, rank_tol_scale) -> _Whitening:
     tm = _map_on(g, t)
     scale = _resolve_rank_tol_scale(rank_tol_scale)
     key = (tm.entries.shape, tm.entries.tobytes(), scale)
-    if g._whitening is not None and g._whitening[0] == key:
-        return g._whitening[1]
-    record = _Whitening(g, tm, scale)
-    object.__setattr__(g, "_whitening", (key, record))
-    return record
+    if g._whitening is None or g._whitening[0] != key:
+        object.__setattr__(g, "_whitening", (key, _Whitening(g, tm, scale)))
+    return g._whitening[1]
 
 
 def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> ConditionalLaw:
@@ -174,18 +207,9 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
     The gain is D^(1/2) P D^(-1/2) with P the projector onto the row space
     of S = T D^(1/2); the conditional covariance is D^(1/2) (I - P) D^(1/2).
     A zero T returns the prior itself; a full-rank square T collapses the
-    covariance to zero.
+    covariance to zero. A repeat call on one (law, T) returns the same law.
     """
-    wh = _whiten(g, t, rank_tol_scale)
-    root, p_row = wh.root, wh.p_row.entries
-    # The roundoff floor of root (I - P) root; past the float limit no
-    # tolerance can be stated for it.
-    ref = frob(root) * frob(root)
-    if not math.isfinite(ref):
-        raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
-    gain = root @ p_row @ wh.pinv_root
-    cov = _psd_clamped(root @ (np.eye(g.dim) - p_row) @ root, wh.scale, ref)
-    return ConditionalLaw(g.mean, gain, cov, wh.d_dec.null_projector, wh.scale)
+    return _whiten(g, t, rank_tol_scale).law
 
 
 def evaluate(law: ConditionalLaw, y, check_support: bool = False) -> Gaussian:
@@ -222,20 +246,9 @@ def decompose(g: Gaussian, t, rank_tol_scale: float | None = None) -> Decomposit
     U[:n, :m] S / c = P_row(S); the gain is A = D^(1/2) U[:n, :m] / c
     restricted to range(S). U, P_row(S) and range(S) are read off the one
     SVD of S / c at its own shape, so M and A share one rank decision.
+    M reuses the factor D^(1/2) P_null(S) of the conditional covariance.
     """
-    wh = _whiten(g, t, rank_tol_scale)
-    tm = wh.tm
-    u = invertible_left_factor(wh.padded, wh.scale, wh.floor)
-    m_map = wh.root @ wh.p_row.complement().entries @ wh.pinv_root
-    # T Y - T mu never leaves range(S) on the support of the prior. Off it, U
-    # is an arbitrary map onto null(S) that would carry rounding in T Y,
-    # scaled by the rows of T that read null(D), into the split; the gain
-    # keeps U on range(S).
-    w_r = orthonormal_columns(wh.padded, wh.scale, wh.floor)[: tm.rows]
-    affine_gain = wh.root @ (u[: tm.cols, : tm.rows] @ w_r) @ w_r.T / wh.size
-    null_d = wh.d_dec.null_projector.entries
-    affine_offset = (np.eye(g.dim) - affine_gain @ tm.entries) @ (null_d @ g.mean)
-    return Decomposition(m_map, affine_gain, affine_offset, wh.scale)
+    return _whiten(g, t, rank_tol_scale).decomposition
 
 
 def endomorphism_reduction(t) -> LinearMap:
@@ -259,11 +272,10 @@ def anova_check(g: Gaussian, t, rank_tol_scale: float | None = None) -> AnovaRep
     residual is the largest entry of the defect.
     """
     law = condition(g, t, rank_tol_scale)
-    e_cov_given = law.cov.entries
     cov_of_mean = law.gain @ g.cov.entries @ law.gain.T
     cov_of_mean = (cov_of_mean + cov_of_mean.T) / 2.0
-    residual = maxabs(e_cov_given + cov_of_mean - g.cov.entries)
-    return AnovaReport(e_cov_given, cov_of_mean, residual)
+    residual = maxabs(law.cov.entries + cov_of_mean - g.cov.entries)
+    return AnovaReport(law.cov.entries, cov_of_mean, residual)
 
 
 def lift_observation(
@@ -282,8 +294,6 @@ def lift_observation(
     """
     tm = _map_on(g, t)
     obs = _observed(tm, observed)
-    if tm.rows == 0:
-        return g.mean.copy()
     wh = _whiten(g, tm, rank_tol_scale)
     shift = obs - tm.entries @ g.mean
     r, m, n = wh.rank, tm.rows, tm.cols

@@ -126,10 +126,6 @@ def _map_on(g: Gaussian, t) -> LinearMap:
     return tm
 
 
-def _map_pair(g: Gaussian, s, t) -> tuple[LinearMap, LinearMap]:
-    return _map_on(g, s), _map_on(g, t)
-
-
 def _observed(tm: LinearMap, y) -> np.ndarray:
     # The one observation check: an observed value of T Y lives in R^m.
     obs = np.asarray(y, dtype=float).reshape(-1)
@@ -182,7 +178,7 @@ def joint(g: Gaussian, s, t, rank_tol_scale: float | None = None) -> JointGaussi
     for entry. The assembled matrix is validated as positive semidefinite
     up to roundoff of the producing products but never rewritten.
     """
-    sm, tm = _map_pair(g, s, t)
+    sm, tm = _map_on(g, s), _map_on(g, t)
     m, p = sm.rows, tm.rows
     if m + p < 1:
         raise DimError("both maps have empty output spaces")
@@ -210,7 +206,7 @@ def independence_test(g: Gaussian, s, t) -> IndependenceResult:
     cross-covariance S D T^T; the residual reported is its largest entry in
     magnitude, compared against 1e-10 times (1 + ||S|| ||D|| ||T||).
     """
-    sm, tm = _map_pair(g, s, t)
+    sm, tm = _map_on(g, s), _map_on(g, t)
     cross = sm.entries @ g.cov.entries @ tm.entries.T
     residual = maxabs(cross)
     limit = INDEPENDENCE_TOL * (1.0 + sm.norm() * g.cov.norm() * tm.norm())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewAccepted
-from .gaussian import Gaussian, _map_on, _map_pair, _observed, sample
+from .gaussian import Gaussian, _map_on, _observed, sample
 from .spectral import SymOperator
 
 MIN_KEPT = 100
@@ -94,7 +94,7 @@ def mc_independence(g: Gaussian, s, t, n_samples: int, seed: int) -> float:
     are evidence of dependence. Coordinates that are almost surely constant
     carry no dependence and contribute zero.
     """
-    sm, tm = _map_pair(g, s, t)
+    sm, tm = _map_on(g, s), _map_on(g, t)
     if sm.rows == 0 or tm.rows == 0:
         return 0.0
     rows = sample(g, n_samples, seed)

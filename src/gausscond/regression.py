@@ -45,8 +45,14 @@ def _zeroing_map(n: int, kept_out: tuple[int, ...]) -> np.ndarray:
     return p
 
 
-def _partial_out(g: Gaussian, rank_tol_scale: float | None):
-    # The result and the law given Z it was read from.
+def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutResult:
+    """Partial regression coefficient of coordinate 1 on coordinate 0 given the rest.
+
+    Both moments are read off the conditional covariance given Z that
+    condition() returns. Degeneracy (conditional variance of X at the
+    rank-tolerance floor) yields a hard zero coefficient rather than a
+    division by noise.
+    """
     n = g.dim
     if n < 3:
         raise DimError(f"need at least 3 coordinates (X, Y, Z...), got {n}")
@@ -58,18 +64,7 @@ def _partial_out(g: Gaussian, rank_tol_scale: float | None):
     degenerate = cond_var_x <= floor
     coefficient = 0.0 if degenerate else cond_cov_xy / cond_var_x
     scale = _resolve_rank_tol_scale(rank_tol_scale)
-    return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, scale), law_z
-
-
-def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutResult:
-    """Partial regression coefficient of coordinate 1 on coordinate 0 given the rest.
-
-    Both moments are read off the conditional covariance given Z that
-    condition() returns. Degeneracy (conditional variance of X at the
-    rank-tolerance floor) yields a hard zero coefficient rather than a
-    division by noise.
-    """
-    return _partial_out(g, rank_tol_scale)[0]
+    return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, scale)
 
 
 def partial_out_identity_check(
@@ -83,13 +78,11 @@ def partial_out_identity_check(
     |LHS - RHS| at y_obs, which should sit at round-off for any state in
     the support of g.
     """
+    res = partial_out(g, rank_tol_scale)
+    # The law given Z that partial_out read, kept on g's whitening.
+    mean_z = evaluate(condition(g, _zeroing_map(g.dim, (0, 1)), rank_tol_scale), y_obs).mean
+    mean_xz = evaluate(condition(g, _zeroing_map(g.dim, (1,)), rank_tol_scale), y_obs).mean
     y = np.asarray(y_obs, dtype=float).reshape(-1)
-    n = g.dim
-    if y.size != n:
-        raise DimError(f"state has dim {y.size} but the law lives on R^{n}")
-    res, law_z = _partial_out(g, rank_tol_scale)
-    mean_xz = evaluate(condition(g, _zeroing_map(n, (1,)), rank_tol_scale), y).mean
-    mean_z = evaluate(law_z, y).mean
     lhs = float(mean_xz[1] - mean_z[1])
     rhs = res.coefficient * float(y[0] - mean_z[0])
     return abs(lhs - rhs)

@@ -323,6 +323,31 @@ class TestWhitening:
         # svd: S at its own shape, which is also the padded S's SVD.
         assert factorizations == {"svd": 1, "eigh": 2}
 
+    def test_repeat_calls_factor_nothing(self, factorizations):
+        rng = np.random.default_rng(65)
+        g = random_gaussian(rng, 8, 6)
+        t = random_map(rng, 4, 8, 3)
+        law, dec = condition(g, t), decompose(g, t)
+        before = dict(factorizations)
+        assert condition(g, t) is law
+        anova_check(g, t)
+        assert decompose(g, t) is dec
+        assert factorizations == before
+
+    def test_decompose_alone_never_builds_the_law(self, factorizations):
+        # eigh: the law's PSD gate only, no clamp of a conditional covariance.
+        rng = np.random.default_rng(64)
+        mean, cov = rng.uniform(-2.0, 2.0, 64), random_psd(rng, 64, 48)
+        decompose(Gaussian(mean, SymOperator(cov)), random_map(rng, 32, 64, 28))
+        assert factorizations == {"svd": 1, "eigh": 1}
+
+    def test_shared_split_is_read_only(self):
+        rng = np.random.default_rng(66)
+        dec = decompose(random_gaussian(rng, 5, 4), random_map(rng, 2, 5, 2))
+        for arr in (dec.independent_map, dec.affine_gain, dec.affine_offset):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
     def test_one_prior_null_projector_per_decomposition(self):
         rng = np.random.default_rng(7)
         g = random_gaussian(rng, 6, 4)

@@ -57,6 +57,20 @@ class TestPartialOut:
             with pytest.raises(DimError):
                 partial_out_identity_check(_law(np.zeros(n), np.eye(n)), np.zeros(n))
 
+    def test_identity_check_rejects_a_state_of_another_dim(self):
+        with pytest.raises(DimError, match="state has dim 3 but the law lives on R"):
+            partial_out_identity_check(_law(np.zeros(4), np.eye(4)), np.zeros(3))
+
+    def test_identity_check_reads_the_law_partial_out_read(self, factorizations):
+        # The law given Z is built once: after partial_out, the identity check
+        # factors and clamps only the law given (X, Z).
+        g = random_gaussian(np.random.default_rng(9), 5, 4)
+        partial_out(g)
+        before = dict(factorizations)
+        partial_out_identity_check(g, sample(g, 1, 0)[0])
+        assert factorizations["svd"] - before["svd"] == 1
+        assert factorizations["eigh"] - before["eigh"] == 1
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_moments_are_read_off_the_conditional_law(self, seed):

@@ -72,6 +72,20 @@ def test_scaled_coordinate_map_matches_closed_form():
         assert maxabs(evaluate(law, state).mean - [1.5, 0.25, 2.0]) <= 1e-12, kappa
 
 
+@pytest.mark.parametrize("kappa", (1e8, 1e10, 1e12))
+def test_lift_is_exact_where_the_left_factor_fails(kappa):
+    # At these condition numbers decompose's left factor U fails its
+    # certificate on some draws; the lift reads S^+ off the whitening's SVD,
+    # never U, and returns a state the law maps to itself on every draw.
+    for seed in range(300):
+        g, t = random_graded_instance(np.random.default_rng(seed), kappa=kappa)
+        if not np.any(t):
+            continue
+        state = lift_observation(g, t, t @ sample(g, 1, seed)[0], strict=True)
+        gap = maxabs(evaluate(condition(g, t), state).mean - state)
+        assert gap <= 1e-8 * (1.0 + maxabs(state)), (kappa, seed)
+
+
 def test_row_rescaling_leaves_the_law_unchanged():
     # L T has the null space of T for every invertible diagonal L.
     rng = np.random.default_rng(31)
