@@ -38,6 +38,7 @@ from .spectral import (
     LinearMap,
     Projector,
     SymOperator,
+    _cutoff,
     _map_svd,
     _resolve_rank_tol_scale,
     _zero_padded,
@@ -212,26 +213,30 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
     return _whiten(g, t, rank_tol_scale).law
 
 
+def _consistent(residual: np.ndarray, size: float, ref: float, dim: int, what: str) -> None:
+    # The one consistency check: a residual may reach 1e-8 of the size it is measured
+    # against plus the rounding floor of the dim-term products of size ref that formed it.
+    tol = 1e-8 * size + _cutoff(None, dim, 0.0, ref)
+    if (off := frob(residual)) > tol:
+        raise InconsistentObservation(f"{what} by {off:.3e} (tol {tol:.3e})")
+
+
 def evaluate(law: ConditionalLaw, y, check_support: bool = False) -> Gaussian:
     """Instantiate the conditional law at a state y.
 
     y is a full state of the prior (the conditioning event is T Y = T y).
     With check_support the component of y - prior_mean in the null space
-    of the prior covariance must vanish within 1e-8 (1 + ||y - prior_mean||),
-    otherwise the state is impossible under the prior and
-    InconsistentObservation is raised.
+    of the prior covariance must vanish within 1e-8 ||y - prior_mean|| plus
+    the rounding floor of ||y|| + ||prior_mean||, otherwise the state is
+    impossible under the prior and InconsistentObservation is raised.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != law.dim:
         raise DimError(f"state has dim {y.size} but the law lives on R^{law.dim}")
     shift = y - law.prior_mean
     if check_support:
-        off = float(np.linalg.norm(law.prior_null_projector.entries @ shift))
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(shift)))
-        if off > tol:
-            raise InconsistentObservation(
-                f"state leaves the support of the prior by {off:.3e} (tol {tol:.3e})"
-            )
+        off, ref = law.prior_null_projector.entries @ shift, frob(y) + frob(law.prior_mean)
+        _consistent(off, frob(shift), ref, law.dim, "state leaves the support of the prior")
     return Gaussian(law.prior_mean + law.gain @ shift, law.cov)
 
 
@@ -289,8 +294,8 @@ def lift_observation(
     at y* returns mean y*.
     It lands in the support mu + range(D) by design. When the observed
     vector is not attainable (it leaves the range of S), T y* only matches
-    its attainable part, and with strict=True a mismatch above
-    1e-8 (1 + ||observed||) raises InconsistentObservation.
+    its attainable part, and with strict=True a mismatch above 1e-8 ||observed||
+    plus the rounding floor of ||T|| ||y*|| raises InconsistentObservation.
     """
     tm = _map_on(g, t)
     obs = _observed(tm, observed)
@@ -300,10 +305,6 @@ def lift_observation(
     coef = (wh.w[:m, :r].T @ shift) / (wh.sv[:r] * wh.size)
     state = g.mean + wh.root @ (wh.vt[:r, :n].T @ coef)
     if strict:
-        residual = float(np.linalg.norm(tm.entries @ state - obs))
-        limit = 1e-8 * (1.0 + float(np.linalg.norm(obs)))
-        if residual > limit:
-            raise InconsistentObservation(
-                f"observed value misses the attainable set by {residual:.3e} (tol {limit:.3e})"
-            )
+        miss, ref = tm.entries @ state - obs, frob(tm.entries) * frob(state)
+        _consistent(miss, frob(obs), ref, n, "observed value misses the attainable set")
     return state

@@ -69,11 +69,9 @@ def mc_conditional_moments(
     tm = _map_on(g, t)
     y = _observed(tm, y_obs)
     rows = sample(g, n_samples, seed, rank_tol_scale)
-    if tm.rows == 0:
-        kept = rows
-    else:
-        dist = np.linalg.norm(rows @ tm.entries.T - y, axis=1)
-        kept = rows[dist <= bin_radius]
+    # A 0-row map leaves every distance 0, so every row is kept.
+    dist = np.linalg.norm(rows @ tm.entries.T - y, axis=1)
+    kept = rows[dist <= bin_radius]
     n_kept = kept.shape[0]
     if n_kept < MIN_KEPT:
         raise TooFewAccepted(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimError, XInSubspace
 from .gaussian import Gaussian
-from .spectral import DEFAULT_RANK_TOL_SCALE, _resolve_rank_tol_scale, orthonormal_columns
+from .spectral import DEFAULT_RANK_TOL_SCALE, _cutoff, orthonormal_columns
 from .conditioning import condition, evaluate
 
 
@@ -49,9 +49,9 @@ def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutR
     """Partial regression coefficient of coordinate 1 on coordinate 0 given the rest.
 
     Both moments are read off the conditional covariance given Z that
-    condition() returns. Degeneracy (conditional variance of X at the
-    rank-tolerance floor) yields a hard zero coefficient rather than a
-    division by noise.
+    condition() returns. Degeneracy (conditional variance of X at or below
+    the rank cutoff of that covariance) yields a hard zero coefficient
+    rather than a division by noise.
     """
     n = g.dim
     if n < 3:
@@ -59,11 +59,10 @@ def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutR
     law_z = condition(g, _zeroing_map(n, (0, 1)), rank_tol_scale)
     cond_var_x = float(law_z.cov.entries[0, 0])
     cond_cov_xy = float(law_z.cov.entries[1, 0])
-
-    floor = g.cov.decomposition(rank_tol_scale).rank_tolerance * (1.0 + g.cov.norm())
-    degenerate = cond_var_x <= floor
+    # Cut where the law's PSD clamp cut: ref ||D^(1/2)||_F^2 = tr D.
+    scale = law_z.rank_tol_scale
+    degenerate = cond_var_x <= _cutoff(scale, n, 0.0, float(np.trace(g.cov.entries)))
     coefficient = 0.0 if degenerate else cond_cov_xy / cond_var_x
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
     return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, scale)
 
 
@@ -94,7 +93,7 @@ def extended_projection_delta(v_basis, x, y) -> np.ndarray:
     Returns P_{span(V, x)} y - P_V y, computed without reprojecting:
     the delta is the component of y along the unit direction of x - P_V x.
     Raises XInSubspace when x lies in span(V), where no new direction
-    exists, i.e. when |x - P_V x| <= 1e-10 (1 + |x|).
+    exists, i.e. when |x - P_V x| <= 1e-10 |x|.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -111,7 +110,7 @@ def extended_projection_delta(v_basis, x, y) -> np.ndarray:
     q = orthonormal_columns(basis)
     perp_x = x - q @ (q.T @ x)
     norm_x = float(np.linalg.norm(perp_x))
-    limit = 1e-10 * (1.0 + float(np.linalg.norm(x)))
+    limit = 1e-10 * float(np.linalg.norm(x))
     if norm_x <= limit:
         raise XInSubspace(
             f"direction lies in the subspace (residual norm {norm_x:.3e} <= {limit:.3e})"

@@ -327,9 +327,11 @@ def _certified(a: np.ndarray, vals, vecs, rank_tol_scale) -> SpectralDecompositi
     gram = maxabs(vecs.T @ vecs - np.eye(n))
     if gram > ORTHONORMALITY_TOL * n:
         raise InvalidInput(f"eigenvector columns lost orthonormality: {gram:.3e}")
-    resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    # Column norms in units of the spectrum, so residuals past 1e154 do not overflow.
+    unit = largest or 1.0
+    resid = np.linalg.norm((a @ vecs - vecs * vals) / unit, axis=0)
+    worst = unit * float(np.max(resid, initial=0.0))
     limit = EIG_RESIDUAL_TOL * (1.0 + largest)
-    worst = float(np.max(resid)) if resid.size else 0.0
     if worst > limit:
         raise InvalidInput(f"eigenpair residual {worst:.3e} exceeds {limit:.3e}")
     return SpectralDecomposition(vals, vecs, rank, tol)

@@ -96,6 +96,14 @@ class TestMcConditionalMoments:
         assert res.n_kept == n
         assert res.method == "monte_carlo"
 
+    def test_zero_row_map_keeps_every_row(self):
+        # An (N, 0) image is at distance 0 from the empty observation, so the
+        # estimate is the sample mean of every drawn row.
+        g = _law([0.5, -0.5], [[1.0, 0.3], [0.3, 0.8]])
+        res = mc_conditional_moments(g, np.zeros((0, 2)), [], 500, 0.0, 11)
+        assert res.n_kept == 500
+        assert np.array_equal(res.mean, sample(g, 500, 11).mean(axis=0))
+
     def test_bivariate_conditioning(self):
         g = _law([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
         res = mc_conditional_moments(g, np.array([[1.0, 0.0]]), [2.0], 400_000, 0.1, 3)

@@ -28,6 +28,18 @@ def _schur_conditional_cov(d):
     return a - b @ np.linalg.solve(c, b.T)
 
 
+def _degenerate_cov():
+    # D = F^2 with F e1 = F e3 + F e4: the first coordinate is a function of
+    # the last two, so its conditional variance given the others vanishes.
+    rng = np.random.default_rng(3)
+    u = np.array([1.0, 0.0, -1.0, -1.0])
+    u /= np.linalg.norm(u)
+    comp = orthonormal_columns(np.eye(4) - np.outer(u, u))
+    f = (comp * rng.uniform(0.5, 2.0, comp.shape[1])) @ comp.T
+    d = f @ f
+    return (d + d.T) / 2.0
+
+
 class TestPartialOut:
     def test_matches_schur_complement(self):
         rng = np.random.default_rng(8)
@@ -94,22 +106,29 @@ class TestPartialOut:
         assert partial_out_identity_check(g, y) <= 1e-8 * scale
 
     def test_degenerate_direction_in_conditioning_span(self):
-        # D = F^2 with F e1 = F e3 + F e4: the conditional variance of the
-        # first coordinate given the others vanishes, the coefficient is a
-        # hard zero, and the identity still holds.
-        rng = np.random.default_rng(3)
-        u = np.array([1.0, 0.0, -1.0, -1.0])
-        u /= np.linalg.norm(u)
-        comp = orthonormal_columns(np.eye(4) - np.outer(u, u))
-        f = (comp * rng.uniform(0.5, 2.0, comp.shape[1])) @ comp.T
-        d = f @ f
-        g = _law([0.5, -0.5, 1.0, 0.0], (d + d.T) / 2.0)
+        # The conditional variance of the first coordinate given the others
+        # vanishes, the coefficient is a hard zero, and the identity still holds.
+        d = _degenerate_cov()
+        g = _law([0.5, -0.5, 1.0, 0.0], d)
         res = partial_out(g)
         assert res.degenerate
         assert res.coefficient == 0.0
         assert res.cond_var_x <= res.rank_tol_scale * 1e-12 * (1.0 + frob(d))
         y = sample(g, 1, 1)[0]
         assert partial_out_identity_check(g, y) <= 1e-8
+
+    @pytest.mark.parametrize("s", (1e-200, 1e-12, 1.0, 1e12, 1e13, 1e200))
+    def test_degeneracy_does_not_depend_on_the_scale_of_d(self, s):
+        # Var(X | Z) and the rank cutoff it meets both scale with D, so a
+        # rescaled law keeps its verdict and its coefficient.
+        g = random_gaussian(np.random.default_rng(0), 4, 4)
+        ref = partial_out(g)
+        res = partial_out(_law(g.mean, g.cov.entries * s))
+        assert not res.degenerate
+        assert res.coefficient == pytest.approx(ref.coefficient, rel=1e-12)
+        deg = partial_out(_law(np.zeros(4), _degenerate_cov() * s))
+        assert deg.degenerate
+        assert deg.coefficient == 0.0
 
     def test_independent_coordinates_give_zero_coefficient(self):
         res = partial_out(_law([0.0] * 3, np.diag([1.0, 2.0, 3.0])))
@@ -150,6 +169,14 @@ class TestExtendedProjectionDelta:
         basis = np.eye(4)[:, :2]
         with pytest.raises(XInSubspace):
             extended_projection_delta(basis, np.array([1.0, -2.0, 0.0, 0.0]), np.ones(4))
+
+    @pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+    def test_new_direction_found_at_any_scale(self, s):
+        # x leaves span(e1, e2) along e3 at every scale, so y's new
+        # component is its e3 coordinate.
+        x = np.array([1e-3, 0.0, 1.0, 0.0]) * s
+        delta = extended_projection_delta(np.eye(4)[:, :2], x, np.ones(4))
+        assert maxabs(delta - [0.0, 0.0, 1.0, 0.0]) <= 1e-12
 
     def test_dim_mismatch(self):
         with pytest.raises(DimError):

@@ -31,7 +31,7 @@ from gausscond.conditioning import (
     evaluate,
     lift_observation,
 )
-from gausscond.errors import InvalidInput
+from gausscond.errors import InconsistentObservation, InvalidInput
 from gausscond.gaussian import Gaussian, sample
 from gausscond.spectral import SymOperator, frob, maxabs
 
@@ -84,6 +84,43 @@ def test_lift_is_exact_where_the_left_factor_fails(kappa):
         state = lift_observation(g, t, t @ sample(g, 1, seed)[0], strict=True)
         gap = maxabs(evaluate(condition(g, t), state).mean - state)
         assert gap <= 1e-8 * (1.0 + maxabs(state)), (kappa, seed)
+
+
+@pytest.mark.parametrize("s", (1e-200, 1e-12, 1e-9, 1.0, 1e12))
+def test_strict_lift_rejects_an_unattainable_observation_at_any_scale(s):
+    # T Y has two equal coordinates, so s [1, -1] is never attainable.
+    t = np.array([[1.0, 0.0], [1.0, 0.0]]) * s
+    with pytest.raises(InconsistentObservation, match="misses the attainable set"):
+        lift_observation(_law(np.zeros(2), np.eye(2)), t, np.array([1.0, -1.0]) * s, strict=True)
+
+
+@pytest.mark.parametrize("s", (1e-200, 1e-9, 1.0, 1e12))
+def test_support_check_does_not_depend_on_units(s):
+    # The support is mu + span(e1) at every s: s [.5, 0] lies in it, and
+    # s [.5, .5] leaves it by half its size.
+    law = condition(_law(np.array([-1.0, 0.0]) * s, np.diag([s, 0.0])), np.zeros((0, 2)))
+    evaluate(law, np.array([0.5, 0.0]) * s, check_support=True)
+    with pytest.raises(InconsistentObservation, match="leaves the support"):
+        evaluate(law, np.array([0.5, 0.5]) * s, check_support=True)
+
+
+@pytest.mark.parametrize("kind", ("plain", 1e8, 1e12))
+def test_consistency_checks_accept_every_valid_state_at_any_scale(kind):
+    # Y ~ N(j mu, j^2 D): the sampled state, its observation and the lifted
+    # state are consistent at every j, and the checks must say so.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        if kind == "plain":
+            g, t = random_conditioning_instance(rng)
+        else:
+            g, t = random_graded_instance(rng, kappa=kind)
+        for j in (1e-12, 1.0, 1e12):
+            gj = _law(g.mean * j, g.cov.entries * j * j)
+            y = sample(gj, 1, seed)[0]
+            state = lift_observation(gj, t, t @ y, strict=True)
+            law = condition(gj, t)
+            evaluate(law, state, check_support=True)
+            evaluate(law, y, check_support=True)
 
 
 def test_row_rescaling_leaves_the_law_unchanged():
