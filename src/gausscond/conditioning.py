@@ -35,10 +35,10 @@ from .errors import DimError, InconsistentObservation, InvalidInput
 from .gaussian import Gaussian, _map_on, _observed, _psd_clamped
 from .spectral import (
     DEFAULT_RANK_TOL_SCALE,
+    EPS,
     LinearMap,
     Projector,
     SymOperator,
-    _cutoff,
     _map_svd,
     _resolve_rank_tol_scale,
     _zero_padded,
@@ -162,15 +162,18 @@ class _Whitening:
         return self.root @ (np.eye(self.tm.cols) - self.p_row.entries)
 
     @cached_property
+    def clamp_ref(self) -> float:
+        # The roundoff floor of root (I - P) root, which the law's PSD clamp and
+        # partial_out's degeneracy read; past the float limit no tolerance can be stated.
+        if not math.isfinite(ref := frob(self.root) * frob(self.root)):
+            raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
+        return ref
+
+    @cached_property
     def law(self) -> ConditionalLaw:
         root, p_row = self.root, self.p_row.entries
-        # The roundoff floor of root (I - P) root; past the float limit no
-        # tolerance can be stated for it.
-        ref = frob(root) * frob(root)
-        if not math.isfinite(ref):
-            raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
         gain = root @ p_row @ self.pinv_root
-        cov = _psd_clamped(self.root_null @ root, self.scale, ref)
+        cov = _psd_clamped(self.root_null @ root, self.scale, self.clamp_ref)
         return ConditionalLaw(self.mean, gain, cov, self.d_dec.null_projector, self.scale)
 
     @cached_property
@@ -215,8 +218,9 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
 
 def _consistent(residual: np.ndarray, size: float, ref: float, dim: int, what: str) -> None:
     # The one consistency check: a residual may reach 1e-8 of the size it is measured
-    # against plus the rounding floor of the dim-term products of size ref that formed it.
-    tol = 1e-8 * size + _cutoff(None, dim, 0.0, ref)
+    # against plus 100 dim eps ref, the rounding of the dim-term products of size ref
+    # that formed it. It is no rank decision, so rank_tol_scale does not move it.
+    tol = 1e-8 * size + 100.0 * dim * EPS * ref
     if (off := frob(residual)) > tol:
         raise InconsistentObservation(f"{what} by {off:.3e} (tol {tol:.3e})")
 
@@ -294,8 +298,9 @@ def lift_observation(
     at y* returns mean y*.
     It lands in the support mu + range(D) by design. When the observed
     vector is not attainable (it leaves the range of S), T y* only matches
-    its attainable part, and with strict=True a mismatch above 1e-8 ||observed||
-    plus the rounding floor of ||T|| ||y*|| raises InconsistentObservation.
+    its attainable part; with strict=True a mismatch above 1e-8 ||observed||
+    plus the rounding of T mu, D^(1/2) S^+ (observed - T mu) and observed
+    raises InconsistentObservation.
     """
     tm = _map_on(g, t)
     obs = _observed(tm, observed)
@@ -305,6 +310,6 @@ def lift_observation(
     coef = (wh.w[:m, :r].T @ shift) / (wh.sv[:r] * wh.size)
     state = g.mean + wh.root @ (wh.vt[:r, :n].T @ coef)
     if strict:
-        miss, ref = tm.entries @ state - obs, frob(tm.entries) * frob(state)
-        _consistent(miss, frob(obs), ref, n, "observed value misses the attainable set")
+        ref = frob(tm.entries) * (frob(g.mean) + frob(wh.root) * frob(coef)) + frob(obs)
+        _consistent(tm.entries @ state - obs, frob(obs), ref, n, "observed value misses the attainable set")
     return state

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimError, XInSubspace
 from .gaussian import Gaussian
 from .spectral import DEFAULT_RANK_TOL_SCALE, _cutoff, orthonormal_columns
-from .conditioning import condition, evaluate
+from .conditioning import _whiten, condition, evaluate
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,16 @@ def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutR
     n = g.dim
     if n < 3:
         raise DimError(f"need at least 3 coordinates (X, Y, Z...), got {n}")
-    law_z = condition(g, _zeroing_map(n, (0, 1)), rank_tol_scale)
-    cond_var_x = float(law_z.cov.entries[0, 0])
-    cond_cov_xy = float(law_z.cov.entries[1, 0])
-    # Cut where the law's PSD clamp cut: ref ||D^(1/2)||_F^2 = tr D.
-    scale = law_z.rank_tol_scale
-    degenerate = cond_var_x <= _cutoff(scale, n, 0.0, float(np.trace(g.cov.entries)))
+    wh = _whiten(g, _zeroing_map(n, (0, 1)), rank_tol_scale)
+    cond_var_x = float(wh.law.cov.entries[0, 0])
+    cond_cov_xy = float(wh.law.cov.entries[1, 0])
+    # Cut where the law's PSD clamp cut: its ref ||D^(1/2)||_F^2 bounds every eigenvalue.
+    degenerate = cond_var_x <= _cutoff(wh.scale, n, 0.0, wh.clamp_ref)
     coefficient = 0.0 if degenerate else cond_cov_xy / cond_var_x
-    return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, scale)
+    return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, wh.scale)
 
 
-def partial_out_identity_check(
-    g: Gaussian, y_obs, rank_tol_scale: float | None = None
-) -> float:
+def partial_out_identity_check(g: Gaussian, y_obs, rank_tol_scale: float | None = None) -> float:
     """Defect of the identity E(Y|X,Z) - E(Y|Z) = coef * (X - E(X|Z)) at a state.
 
     The left side is computed from two full conditioning passes (on the
@@ -112,8 +109,6 @@ def extended_projection_delta(v_basis, x, y) -> np.ndarray:
     norm_x = float(np.linalg.norm(perp_x))
     limit = 1e-10 * float(np.linalg.norm(x))
     if norm_x <= limit:
-        raise XInSubspace(
-            f"direction lies in the subspace (residual norm {norm_x:.3e} <= {limit:.3e})"
-        )
+        raise XInSubspace(f"direction lies in the subspace (residual norm {norm_x:.3e} <= {limit:.3e})")
     perp_y = y - q @ (q.T @ y)
     return (float(perp_y @ perp_x) / (norm_x * norm_x)) * perp_x

@@ -94,6 +94,22 @@ def test_strict_lift_rejects_an_unattainable_observation_at_any_scale(s):
         lift_observation(_law(np.zeros(2), np.eye(2)), t, np.array([1.0, -1.0]) * s, strict=True)
 
 
+@pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+def test_strict_lift_accepts_an_observation_far_below_the_mean(s):
+    # obs = 0 is attainable, and y* = mu + D^(1/2) S^+ (0 - T mu) is 0 up to
+    # the rounding of T mu, which ||y*|| does not measure.
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        g = random_gaussian(rng, n, n)
+        gs = _law(g.mean * s, g.cov.entries * s * s)
+        state = lift_observation(gs, np.eye(n), np.zeros(n), strict=True)
+        assert maxabs(state) <= 1e-10 * s * maxabs(g.mean), (seed, n)
+    # One observed coordinate of a diagonal law, with zero mean elsewhere.
+    g = _law(np.array([1.0, 0.0, 0.0]) * s, np.diag([2.0, 0.5, 3.0]) * s * s)
+    lift_observation(g, np.array([[1.0, 0.0, 0.0]]), np.zeros(1), strict=True)
+
+
 @pytest.mark.parametrize("s", (1e-200, 1e-9, 1.0, 1e12))
 def test_support_check_does_not_depend_on_units(s):
     # The support is mu + span(e1) at every s: s [.5, 0] lies in it, and
