@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Worked examples: a textbook bivariate case, then a rank-deficient one.
+"""Worked examples: a textbook bivariate case, a rank-deficient one, a full observation.
 
 Run with no arguments. Prints each step so the output doubles as a short
 tour of the library API.
@@ -73,6 +73,24 @@ def rank_deficient_demo():
     print("row sums of the first two coordinates:", rows[:, 0] + rows[:, 1])
 
 
+def full_observation_demo():
+    print()
+    print("=" * 60)
+    print("3. A full-rank square observation pins the vector down")
+    print("=" * 60)
+    d = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
+    t = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    g = Gaussian(np.zeros(3), SymOperator(d))
+    law = condition(g, t)
+    # G = D^(1/2) (I - P_row(S)) D^(1/2) has rank rank D - rank S = 0, so
+    # the rounding left by its products of size tr D becomes exact zeros.
+    print("conditional covariance rank:", law.cov.decomposition().rank)
+    out = evaluate(law, lift_observation(g, t, [1.0, 2.0, 3.0]))
+    rows = sample(out, 100, seed=7)
+    print("largest spread of 100 draws around the mean:", maxabs(rows - out.mean))
+
+
 if __name__ == "__main__":
     bivariate_demo()
     rank_deficient_demo()
+    full_observation_demo()

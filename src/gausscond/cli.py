@@ -9,7 +9,6 @@ or input-validity error, 3 dimension mismatch, 4 support violation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -37,7 +36,7 @@ EXIT_SUPPORT = 4
 _EXIT_CODES = (
     (InconsistentObservation, EXIT_SUPPORT),
     (DimError, EXIT_DIM),
-    ((InvalidInput, json.JSONDecodeError), EXIT_PARSE),
+    (InvalidInput, EXIT_PARSE),
     (GausscondError, EXIT_PROPERTY),
 )
 
@@ -102,8 +101,6 @@ def cmd_decompose(args) -> int:
 def cmd_sample(args) -> int:
     g, extra = io.load_model(args.model)
     scale = _resolve_scale(args, extra)
-    if args.count < 1:
-        raise InvalidInput("--count must be at least 1")
     rows = sample(g, args.count, args.seed, scale)
     if args.format == "csv":
         for row in rows:
@@ -222,7 +219,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (GausscondError, json.JSONDecodeError) as exc:
+    except GausscondError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

@@ -173,7 +173,7 @@ class _Whitening:
     def law(self) -> ConditionalLaw:
         root, p_row = self.root, self.p_row.entries
         gain = root @ p_row @ self.pinv_root
-        cov = _psd_clamped(self.root_null @ root, self.scale, self.clamp_ref)
+        cov = _psd_clamped(self.root_null @ root, self.scale, self.clamp_ref, self.d_dec.rank - self.rank)
         return ConditionalLaw(self.mean, gain, cov, self.d_dec.null_projector, self.scale)
 
     @cached_property
@@ -211,7 +211,8 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
     The gain is D^(1/2) P D^(-1/2) with P the projector onto the row space
     of S = T D^(1/2); the conditional covariance is D^(1/2) (I - P) D^(1/2).
     A zero T returns the prior itself; a full-rank square T collapses the
-    covariance to zero. A repeat call on one (law, T) returns the same law.
+    covariance to exact zeros: the rank of G is rank D - rank S, and the PSD
+    clamp zeroes the rest. A repeat call on one (law, T) returns the same law.
     """
     return _whiten(g, t, rank_tol_scale).law
 

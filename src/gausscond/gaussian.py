@@ -147,17 +147,18 @@ def char_fn(g: Gaussian, t) -> complex:
 
 
 def _psd_clamped(
-    entries: np.ndarray, rank_tol_scale: float | None, ref: float = 0.0
+    entries: np.ndarray, rank_tol_scale: float | None, ref: float = 0.0, rank: int | None = None
 ) -> SymOperator:
-    # Keep entries untouched when the spectrum is already nonnegative;
-    # clamp eigenvalues in (-tol, 0) introduced by round-off otherwise.
-    # Either way the result carries its decomposition, so a later gate
-    # on it (Gaussian, sample) does not factor it again.
+    # The PSD gate raises below the roundoff band of products of size ref. The
+    # eigenvalues past rank, known from the factors of the matrix, and negative
+    # ones become exact zeros; no band zeroes a positive eigenvalue, which may be
+    # exact. Entries stay untouched if none is; the result carries its decomposition.
     op = SymOperator(entries)
     dec = _psd_decomposition(op, rank_tol_scale, "matrix", ref)
-    if dec.eigenvalues[-1] >= 0.0:
+    keep = op.dim if rank is None else max(rank, 0)
+    if dec.eigenvalues[-1] >= 0.0 and not dec.eigenvalues[keep:].any():
         return op
-    return dec._clamped(rank_tol_scale)
+    return dec._clamped(keep, rank_tol_scale)
 
 
 def pushforward(g: Gaussian, s, rank_tol_scale: float | None = None) -> Gaussian:

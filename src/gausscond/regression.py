@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimError, XInSubspace
 from .gaussian import Gaussian
-from .spectral import DEFAULT_RANK_TOL_SCALE, _cutoff, orthonormal_columns
+from .spectral import DEFAULT_RANK_TOL_SCALE, _cutoff, frob, orthonormal_columns
 from .conditioning import _whiten, condition, evaluate
 
 
@@ -59,7 +59,7 @@ def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutR
     wh = _whiten(g, _zeroing_map(n, (0, 1)), rank_tol_scale)
     cond_var_x = float(wh.law.cov.entries[0, 0])
     cond_cov_xy = float(wh.law.cov.entries[1, 0])
-    # Cut where the law's PSD clamp cut: its ref ||D^(1/2)||_F^2 bounds every eigenvalue.
+    # The band of the law's PSD gate: its ref ||D^(1/2)||_F^2 bounds every eigenvalue's roundoff.
     degenerate = cond_var_x <= _cutoff(wh.scale, n, 0.0, wh.clamp_ref)
     coefficient = 0.0 if degenerate else cond_cov_xy / cond_var_x
     return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, wh.scale)
@@ -106,9 +106,9 @@ def extended_projection_delta(v_basis, x, y) -> np.ndarray:
         raise DimError(f"basis vectors have dim {basis.shape[0]} but x has dim {x.size}")
     q = orthonormal_columns(basis)
     perp_x = x - q @ (q.T @ x)
-    norm_x = float(np.linalg.norm(perp_x))
-    limit = 1e-10 * float(np.linalg.norm(x))
+    # Norms via frob and a unit direction, so no square of x's size underflows.
+    norm_x, limit = frob(perp_x), 1e-10 * frob(x)
     if norm_x <= limit:
         raise XInSubspace(f"direction lies in the subspace (residual norm {norm_x:.3e} <= {limit:.3e})")
-    perp_y = y - q @ (q.T @ y)
-    return (float(perp_y @ perp_x) / (norm_x * norm_x)) * perp_x
+    unit = perp_x / norm_x
+    return float((y - q @ (q.T @ y)) @ unit) * unit

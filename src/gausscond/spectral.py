@@ -36,7 +36,7 @@ DEFAULT_RANK_TOL_SCALE = 100.0
 
 # Construction-time validation thresholds.
 ORTHONORMALITY_TOL = 1e-12          # scaled by n
-EIG_RESIDUAL_TOL = 1e-10            # scaled by 1 + max|lambda|
+EIG_RESIDUAL_TOL = 1e-10            # scaled by max|lambda|, floored at the smallest normal
 PROJECTOR_SYM_TOL = 1e-12
 PROJECTOR_IDEMPOTENT_TOL = 1e-10
 PROJECTOR_TRACE_TOL = 1e-8
@@ -254,9 +254,9 @@ class SpectralDecomposition:
         return self._synthesize(self.eigenvalues)
 
     def _positive_part(self, fn) -> np.ndarray:
-        # fn of the eigenvalues above the rank cut, exact zeros elsewhere, so
-        # every function of D has the range of its positive part. Negatives
-        # within tolerance are clamped by the same rule.
+        # fn of the eigenvalues above the rank cut, exact zeros elsewhere, so every
+        # function of D has the range of its positive part; the PSD clamp has
+        # already zeroed the eigenvalues past a computed covariance's known rank.
         vals = np.zeros_like(self.eigenvalues)
         pos = self.eigenvalues > self.rank_tolerance
         vals[pos] = fn(self.eigenvalues[pos])
@@ -284,14 +284,14 @@ class SpectralDecomposition:
         """The certified projector onto the null space, built once per decomposition."""
         return Projector(self.null_projector_matrix(), self.dim - self.rank)
 
-    def _clamped(self, rank_tol_scale: float | None = None) -> SymOperator:
-        """The operator with eigenvalues max(lambda, 0) on these eigenvectors.
+    def _clamped(self, keep: int, rank_tol_scale: float | None = None) -> SymOperator:
+        """The operator with the eigenvalues past the first keep, and the negative ones, zeroed.
 
         Its decomposition is these eigenvectors with the clamped values,
         certified against its own entries by eig_sym's checks and cached
         under rank_tol_scale, so the operator is never factored again.
         """
-        vals = np.maximum(self.eigenvalues, 0.0)
+        vals = np.where(np.arange(self.dim) < keep, np.maximum(self.eigenvalues, 0.0), 0.0)
         op = SymOperator(self._synthesize(vals))
         scale = _resolve_rank_tol_scale(rank_tol_scale)
         op._decomp_cache[scale] = _certified(op.entries, vals, self.eigenvectors, scale)
@@ -331,7 +331,8 @@ def _certified(a: np.ndarray, vals, vecs, rank_tol_scale) -> SpectralDecompositi
     unit = largest or 1.0
     resid = np.linalg.norm((a @ vecs - vecs * vals) / unit, axis=0)
     worst = unit * float(np.max(resid, initial=0.0))
-    limit = EIG_RESIDUAL_TOL * (1.0 + largest)
+    # Floored at the smallest normal float: subnormal residuals are rounding, not solver error.
+    limit = max(EIG_RESIDUAL_TOL * largest, float(np.finfo(float).tiny))
     if worst > limit:
         raise InvalidInput(f"eigenpair residual {worst:.3e} exceeds {limit:.3e}")
     return SpectralDecomposition(vals, vecs, rank, tol)

@@ -11,6 +11,7 @@ from gausscond.checks import (
     random_psd,
 )
 from gausscond.conditioning import (
+    _whiten,
     anova_check,
     condition,
     decompose,
@@ -386,3 +387,91 @@ class TestWhitening:
         assert factorizations["svd"] == 3
         _same_results(g, t1, _fresh(g), t1)
         _same_results(g, t2, _fresh(g), t2)
+
+
+# D and a full-rank square T whose conditional covariance is zero, formed
+# from products that leave rounding of order eps * tr D.
+FULL_OBS_D = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
+FULL_OBS_T = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+
+
+def _full_observations(s):
+    # The fixed case, then random laws of every rank with a full-rank square T.
+    yield _law(np.ones(3), s * FULL_OBS_D), FULL_OBS_T
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        g, _ = random_conditioning_instance(rng)
+        yield _law(g.mean, s * g.cov.entries), random_map(rng, g.dim, g.dim, g.dim)
+
+
+def _graded(kappa):
+    return lambda rng: random_graded_instance(rng, kappa=kappa)
+
+
+class TestConditionalRank:
+    """A conditional covariance has rank rank D - rank S, and its other eigenvalues are exact zeros."""
+
+    @pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+    def test_full_observation_is_an_exact_point_mass(self, s):
+        for g, t in _full_observations(s):
+            law = condition(g, t)
+            assert np.all(law.cov.entries == 0.0)
+            assert law.cov.decomposition().rank == 0
+            point = evaluate(law, sample(g, 1, 0)[0])
+            assert np.array_equal(sample(point, 20, 1), np.tile(point.mean, (20, 1)))
+
+    @pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+    def test_conditioned_point_mass_rejects_every_other_state(self, s):
+        # The direction in which the rounded covariance was largest is the
+        # one a rank read off rounding would let through.
+        for g, t in _full_observations(s):
+            point = evaluate(condition(g, t), sample(g, 1, 0)[0])
+            law = condition(point, np.zeros((0, g.dim)))
+            away = np.linalg.eigh(point.cov.entries)[1][:, -1]
+            bad = point.mean + away * (1.0 + maxabs(point.mean))
+            with pytest.raises(InconsistentObservation):
+                evaluate(law, bad, check_support=True)
+
+    @pytest.mark.parametrize(
+        "generator",
+        (random_conditioning_instance, _graded(1e4), _graded(1e8)),
+        ids=("plain", "graded-1e4", "graded-1e8"),
+    )
+    def test_conditional_rank_is_rank_d_minus_rank_s(self, generator):
+        # The ranks come from the whitening record; decompose is not called,
+        # since its left factor may raise at kappa = 1e8.
+        for seed in range(300):
+            g, t = generator(np.random.default_rng(seed))
+            wh = _whiten(g, t, None)
+            assert condition(g, t).cov.decomposition().rank == wh.d_dec.rank - wh.rank
+
+    @pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+    def test_small_exact_conditional_variance_is_kept(self, s):
+        # Observing the first nine coordinates leaves the tenth, whose exact
+        # variance clears D's rank cut but not a roundoff bound of order eps * tr D.
+        g = _law(np.zeros(10), np.diag([1.0] * 9 + [1e-12]) * s)
+        law = condition(g, np.eye(10)[:9])
+        assert law.cov.decomposition().rank == 1
+        assert abs(law.cov.entries[9, 9] - 1e-12 * s) <= 1e-9 * 1e-12 * s
+
+
+class TestChainRule:
+    """Conditioning on T1 then on T2 gives the law conditioned on [T1; T2] once."""
+
+    @pytest.mark.parametrize(
+        "generator", (random_conditioning_instance, _graded(1e4)), ids=("plain", "graded-1e4")
+    )
+    def test_sequential_conditioning_matches_the_joint_law(self, generator):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            g, t = generator(rng)
+            k = int(rng.integers(0, t.shape[0] + 1))
+            y = sample(g, 1, seed)[0]
+            joint = evaluate(condition(g, t), y)
+            rank = joint.cov.decomposition().rank
+            mean_size = maxabs(y) + maxabs(g.mean)
+            for first, second in ((t[:k], t[k:]), (t[k:], t[:k])):
+                chained = evaluate(condition(evaluate(condition(g, first), y), second), y)
+                assert maxabs(chained.mean - joint.mean) <= 1e-9 * mean_size
+                assert maxabs(chained.cov.entries - joint.cov.entries) <= 1e-9 * maxabs(g.cov.entries)
+                assert chained.cov.decomposition().rank == rank

@@ -97,6 +97,15 @@ class TestPushforwardAndJoint:
         with pytest.raises(DimError):
             pushforward(_law([0.0], [[1.0]]), np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+    def test_identity_pushforward_keeps_the_rank(self, s):
+        # The smallest eigenvalue is exact and above D's rank cut, though it
+        # lies below a roundoff bound that scales with ||S||^2 ||D||.
+        d = np.diag([1.0] * 9 + [1e-12]) * s
+        out = pushforward(_law(np.zeros(10), d), np.eye(10))
+        assert np.array_equal(out.cov.entries, d)
+        assert out.cov.decomposition().rank == 10
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_joint_marginals_bit_exact(self, seed):

@@ -170,10 +170,10 @@ class TestExtendedProjectionDelta:
         with pytest.raises(XInSubspace):
             extended_projection_delta(basis, np.array([1.0, -2.0, 0.0, 0.0]), np.ones(4))
 
-    @pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+    @pytest.mark.parametrize("s", (1e-300, 1e-170, 1e-160, 1e-12, 1.0, 1e12, 1e150))
     def test_new_direction_found_at_any_scale(self, s):
         # x leaves span(e1, e2) along e3 at every scale, so y's new
-        # component is its e3 coordinate.
+        # component is its e3 coordinate; |x|^2 underflows below 1e-154.
         x = np.array([1e-3, 0.0, 1.0, 0.0]) * s
         delta = extended_projection_delta(np.eye(4)[:, :2], x, np.ones(4))
         assert maxabs(delta - [0.0, 0.0, 1.0, 0.0]) <= 1e-12

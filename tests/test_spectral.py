@@ -94,6 +94,26 @@ class TestEigSym:
         with pytest.raises(InvalidInput):
             eig_sym(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("s", (1e-300, 1e-12, 1.0, 1e12))
+    def test_wrong_eigenvalue_rejected_at_any_scale(self, s, monkeypatch):
+        # A solver that returns the smallest eigenvalue 10% off fails the
+        # residual certificate, whose limit scales with the spectrum alone.
+        eigh = np.linalg.eigh
+
+        def wrong(a, *args):
+            vals, vecs = eigh(a, *args)
+            return vals * [1.1, 1.0, 1.0], vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", wrong)
+        with pytest.raises(InvalidInput):
+            eig_sym(np.diag([2.0, 1.0, 0.5]) * s)
+
+    def test_subnormal_rounding_is_no_solver_error(self):
+        # Entries below the smallest normal float round by a few absolute
+        # ulps, which no limit relative to the spectrum can state.
+        a = random_symmetric(np.random.default_rng(3), 4) * 1e-315
+        assert eig_sym(a).dim == 4
+
 
 class TestOperatorCalculus:
     @given(st.integers(0, 10_000), st.integers(1, 7))
