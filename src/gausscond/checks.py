@@ -27,6 +27,7 @@ from .conditioning import (
     evaluate,
     lift_observation,
 )
+from .errors import InvalidInput
 from .gaussian import (
     Gaussian,
     char_fn,
@@ -585,6 +586,8 @@ def run_suite(
     rank_tol_scale: float | None = None,
 ) -> list[CheckReport]:
     """Run one named suite, or all of them; always returns a list of reports."""
+    if seed < 0 or (trials is not None and trials < 1):
+        raise InvalidInput(f"need seed >= 0 and trials >= 1, got seed {seed}, trials {trials}")
     if name == "all":
         return [fn(trials, seed, rank_tol_scale) for fn in SUITES.values()]
     if name not in SUITES:

@@ -162,18 +162,13 @@ class _Whitening:
         return self.root @ (np.eye(self.tm.cols) - self.p_row.entries)
 
     @cached_property
-    def clamp_ref(self) -> float:
-        # The roundoff floor of root (I - P) root, which the law's PSD clamp and
-        # partial_out's degeneracy read; past the float limit no tolerance can be stated.
-        if not math.isfinite(ref := frob(self.root) * frob(self.root)):
-            raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
-        return ref
-
-    @cached_property
     def law(self) -> ConditionalLaw:
         root, p_row = self.root, self.p_row.entries
         gain = root @ p_row @ self.pinv_root
-        cov = _psd_clamped(self.root_null @ root, self.scale, self.clamp_ref, self.d_dec.rank - self.rank)
+        # The roundoff floor of root (I - P) root; past the float limit no tolerance can be stated.
+        if not math.isfinite(ref := frob(root) * frob(root)):
+            raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
+        cov = _psd_clamped(self.root_null @ root, self.scale, ref, self.d_dec.rank - self.rank)
         return ConditionalLaw(self.mean, gain, cov, self.d_dec.null_projector, self.scale)
 
     @cached_property
@@ -238,6 +233,8 @@ def evaluate(law: ConditionalLaw, y, check_support: bool = False) -> Gaussian:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != law.dim:
         raise DimError(f"state has dim {y.size} but the law lives on R^{law.dim}")
+    if not np.all(np.isfinite(y)):
+        raise InvalidInput("state has non-finite entries")
     shift = y - law.prior_mean
     if check_support:
         off, ref = law.prior_null_projector.entries @ shift, frob(y) + frob(law.prior_mean)

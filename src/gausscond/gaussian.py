@@ -131,6 +131,8 @@ def _observed(tm: LinearMap, y) -> np.ndarray:
     obs = np.asarray(y, dtype=float).reshape(-1)
     if obs.size != tm.rows:
         raise DimError(f"observation has dim {obs.size} but the map outputs dim {tm.rows}")
+    if not np.all(np.isfinite(obs)):
+        raise InvalidInput("observation has non-finite entries")
     return obs
 
 
@@ -158,7 +160,7 @@ def _psd_clamped(
     keep = op.dim if rank is None else max(rank, 0)
     if dec.eigenvalues[-1] >= 0.0 and not dec.eigenvalues[keep:].any():
         return op
-    return dec._clamped(keep, rank_tol_scale)
+    return dec._clamped(keep)
 
 
 def pushforward(g: Gaussian, s, rank_tol_scale: float | None = None) -> Gaussian:
@@ -221,6 +223,8 @@ def standard_normal_rows(count: int, dim: int, seed: int) -> np.ndarray:
     (0, 1] are mapped through Box-Muller, r cos(a) and r sin(a) filling
     consecutive slots.
     """
+    if seed < 0:
+        raise InvalidInput(f"seed must be non-negative, got {seed}")
     total = count * dim
     pairs = (total + 1) // 2
     rng = np.random.Generator(np.random.PCG64(seed))

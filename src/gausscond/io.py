@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimError, InvalidInput, NotPositive
 from .gaussian import Gaussian
-from .spectral import SymOperator
+from .spectral import SymOperator, _resolve_rank_tol_scale
 
 
 def _load_json(path: str | Path):
@@ -58,11 +58,9 @@ def load_model(path: str | Path) -> tuple[Gaussian, dict]:
     extra = {k: v for k, v in data.items() if k not in ("mean", "cov")}
     if "rank_tol_scale" in extra:
         try:
-            extra["rank_tol_scale"] = float(extra["rank_tol_scale"])
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"{path}: rank_tol_scale is not a number") from exc
-        if extra["rank_tol_scale"] <= 0:
-            raise InvalidInput(f"{path}: rank_tol_scale must be positive")
+            extra["rank_tol_scale"] = _resolve_rank_tol_scale(extra["rank_tol_scale"])
+        except (TypeError, ValueError, InvalidInput) as exc:
+            raise InvalidInput(f"{path}: rank_tol_scale must be a positive finite number") from exc
     for key in ("x_index", "y_index"):
         if key in extra:
             if not isinstance(extra[key], int) or isinstance(extra[key], bool):

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DimError, XInSubspace
 from .gaussian import Gaussian
-from .spectral import DEFAULT_RANK_TOL_SCALE, _cutoff, frob, orthonormal_columns
-from .conditioning import _whiten, condition, evaluate
+from .spectral import DEFAULT_RANK_TOL_SCALE, frob, orthonormal_columns
+from .conditioning import condition, evaluate
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,12 @@ def partial_out(g: Gaussian, rank_tol_scale: float | None = None) -> PartialOutR
     n = g.dim
     if n < 3:
         raise DimError(f"need at least 3 coordinates (X, Y, Z...), got {n}")
-    wh = _whiten(g, _zeroing_map(n, (0, 1)), rank_tol_scale)
-    cond_var_x = float(wh.law.cov.entries[0, 0])
-    cond_cov_xy = float(wh.law.cov.entries[1, 0])
-    # The band of the law's PSD gate: its ref ||D^(1/2)||_F^2 bounds every eigenvalue's roundoff.
-    degenerate = cond_var_x <= _cutoff(wh.scale, n, 0.0, wh.clamp_ref)
+    law = condition(g, _zeroing_map(n, (0, 1)), rank_tol_scale)
+    cond_var_x = float(law.cov.entries[0, 0])
+    cond_cov_xy = float(law.cov.entries[1, 0])
+    degenerate = cond_var_x <= law.cov.decomposition(law.rank_tol_scale).rank_tolerance
     coefficient = 0.0 if degenerate else cond_cov_xy / cond_var_x
-    return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, wh.scale)
+    return PartialOutResult(coefficient, cond_cov_xy, cond_var_x, degenerate, law.rank_tol_scale)
 
 
 def partial_out_identity_check(g: Gaussian, y_obs, rank_tol_scale: float | None = None) -> float:

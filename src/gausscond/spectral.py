@@ -45,10 +45,10 @@ LU_PIVOT_TOL = 1e-12                # lower bound on sigma_min(U), scaled by ||U
 
 
 def _resolve_rank_tol_scale(rank_tol_scale: float | None) -> float:
-    """The rank threshold multiplier a call uses: the default for None, else positive."""
+    """The rank threshold multiplier a call uses: the default for None, else positive and finite."""
     scale = DEFAULT_RANK_TOL_SCALE if rank_tol_scale is None else float(rank_tol_scale)
-    if scale <= 0.0:
-        raise InvalidInput(f"rank_tol_scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise InvalidInput(f"rank_tol_scale must be positive and finite, got {scale}")
     return scale
 
 
@@ -83,11 +83,11 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SymOperator:
-    """Real symmetric operator on R^n with cached eigendecompositions.
+    """Real symmetric operator on R^n with one cached eigensolve.
 
     Entries are symmetrized by averaging at construction and frozen
-    read-only afterwards. Decompositions are cached per rank_tol_scale so
-    repeated use of the same operator never factorizes it twice.
+    read-only afterwards. The operator is solved and certified once; each
+    rank_tol_scale re-cuts those eigenpairs, so it is never factorized twice.
     """
 
     entries: np.ndarray
@@ -108,7 +108,8 @@ class SymOperator:
         key = _resolve_rank_tol_scale(rank_tol_scale)
         cached = self._decomp_cache.get(key)
         if cached is None:
-            cached = eig_sym(self, rank_tol_scale=key)
+            solved = next(iter(self._decomp_cache.values()), None)
+            cached = _eig_cut(solved.eigenvalues, solved.eigenvectors, key) if solved else eig_sym(self, key)
             self._decomp_cache[key] = cached
         return cached
 
@@ -284,17 +285,16 @@ class SpectralDecomposition:
         """The certified projector onto the null space, built once per decomposition."""
         return Projector(self.null_projector_matrix(), self.dim - self.rank)
 
-    def _clamped(self, keep: int, rank_tol_scale: float | None = None) -> SymOperator:
+    def _clamped(self, keep: int) -> SymOperator:
         """The operator with the eigenvalues past the first keep, and the negative ones, zeroed.
 
-        Its decomposition is these eigenvectors with the clamped values,
-        certified against its own entries by eig_sym's checks and cached
-        under rank_tol_scale, so the operator is never factored again.
+        Its eigensolve is these eigenvectors with the clamped values,
+        certified against its own entries by eig_sym's checks, so the
+        operator is never factored at any rank_tol_scale.
         """
         vals = np.where(np.arange(self.dim) < keep, np.maximum(self.eigenvalues, 0.0), 0.0)
         op = SymOperator(self._synthesize(vals))
-        scale = _resolve_rank_tol_scale(rank_tol_scale)
-        op._decomp_cache[scale] = _certified(op.entries, vals, self.eigenvectors, scale)
+        op._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _certified(op.entries, vals, self.eigenvectors, None)
         return op
 
 
@@ -322,8 +322,6 @@ def _certified(a: np.ndarray, vals, vecs, rank_tol_scale) -> SpectralDecompositi
     # which callers must not paper over.
     n = a.shape[0]
     largest = maxabs(vals)
-    tol = _cutoff(rank_tol_scale, n, largest)
-    rank = int(np.count_nonzero(vals > tol))
     gram = maxabs(vecs.T @ vecs - np.eye(n))
     if gram > ORTHONORMALITY_TOL * n:
         raise InvalidInput(f"eigenvector columns lost orthonormality: {gram:.3e}")
@@ -335,7 +333,13 @@ def _certified(a: np.ndarray, vals, vecs, rank_tol_scale) -> SpectralDecompositi
     limit = max(EIG_RESIDUAL_TOL * largest, float(np.finfo(float).tiny))
     if worst > limit:
         raise InvalidInput(f"eigenpair residual {worst:.3e} exceeds {limit:.3e}")
-    return SpectralDecomposition(vals, vecs, rank, tol)
+    return _eig_cut(vals, vecs, rank_tol_scale)
+
+
+def _eig_cut(vals: np.ndarray, vecs: np.ndarray, rank_tol_scale) -> SpectralDecomposition:
+    # The one rank cut of an operator's certified eigenpairs: dim n, size max|lambda|.
+    tol = _cutoff(rank_tol_scale, vals.size, maxabs(vals))
+    return SpectralDecomposition(vals, vecs, int(np.count_nonzero(vals > tol)), tol)
 
 
 def _psd_decomposition(a, rank_tol_scale: float | None, what: str = "operator", ref: float = 0.0):

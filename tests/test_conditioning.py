@@ -310,17 +310,19 @@ def _same_results(g, t, ref_g, ref_t, rank_tol_scale=None):
 class TestWhitening:
     """One whitening and one SVD of S serve condition, lift_observation and decompose."""
 
-    def test_fresh_chain_factors_once(self, factorizations):
+    @pytest.mark.parametrize("rank_tol_scale", (None, 1e3), ids=("default", "scaled"))
+    def test_fresh_chain_factors_once(self, factorizations, rank_tol_scale):
         rng = np.random.default_rng(64)
         mean, cov = rng.uniform(-2.0, 2.0, 64), random_psd(rng, 64, 48)
         t = random_map(rng, 32, 64, 32)
         g = Gaussian(mean, SymOperator(cov))
-        law = condition(g, t)
-        state = lift_observation(g, t, t @ sample(g, 1, 0)[0])
-        evaluate(law, state)
-        decompose(g, t)
+        law = condition(g, t, rank_tol_scale)
+        state = lift_observation(g, t, t @ sample(g, 1, 0, rank_tol_scale)[0], rank_tol_scale)
+        sample(evaluate(law, state), 1, 0, rank_tol_scale)
+        decompose(g, t, rank_tol_scale)
         # eigh: the law's PSD gate and the conditional covariance's clamp; the
-        # gate of evaluate's result reads the decomposition the clamp carries.
+        # gate of evaluate's result and the sample read the eigensolve the clamp
+        # carries, and any other scale re-cuts the eigenpairs it already holds.
         # svd: S at its own shape, which is also the padded S's SVD.
         assert factorizations == {"svd": 1, "eigh": 2}
 

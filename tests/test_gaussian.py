@@ -146,6 +146,11 @@ class TestPsdClamp:
         resid = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0)
         assert float(np.max(resid)) <= EIG_RESIDUAL_TOL * (1.0 + maxabs(vals))
         assert maxabs(vecs.T @ vecs - np.eye(5)) <= ORTHONORMALITY_TOL * 5
+        # Another scale re-cuts the certified eigenpairs: same pairs, no solve.
+        scaled = op.decomposition(1e3)
+        assert calls == []
+        assert scaled.eigenvalues is vals and scaled.eigenvectors is vecs
+        assert scaled.rank == 3 and scaled.rank_tolerance == pytest.approx(10.0 * dec.rank_tolerance)
         fresh = eig_sym(op.entries)
         assert calls == [1]
         assert fresh.rank == dec.rank == 3

@@ -130,6 +130,17 @@ class TestPartialOut:
         assert deg.degenerate
         assert deg.coefficient == 0.0
 
+    @pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+    def test_small_exact_conditional_variance_is_not_degenerate(self, s):
+        # Z is independent of (X, Y), whose covariance is [[1e-12, .5e-12], [.5e-12, 1]]:
+        # Var(X | Z) = 1e-12 exactly clears the law's own rank cut, though it sits
+        # below the PSD gate's worst-case band of order eps * tr D.
+        d = np.eye(10)
+        d[:2, :2] = [[1e-12, 0.5e-12], [0.5e-12, 1.0]]
+        res = partial_out(_law(np.zeros(10), d * s))
+        assert not res.degenerate
+        assert res.coefficient == pytest.approx(0.5, rel=1e-12)
+
     def test_independent_coordinates_give_zero_coefficient(self):
         res = partial_out(_law([0.0] * 3, np.diag([1.0, 2.0, 3.0])))
         assert res.coefficient == pytest.approx(0.0, abs=1e-14)

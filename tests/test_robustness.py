@@ -7,10 +7,13 @@ map whose singular values clear that cut: small ones, rescaled rows, and
 entries near the ends of the floating-point range; and a row of T that
 leaves only rounding noise in S must count as no observation. Each test
 here checks a closed form or an invariance of the law, not a second
-formula.
+formula. Inputs that no finite law answers (a non-finite scale,
+observation or state, a negative seed, no trials) raise InvalidInput at
+the library call and exit 2 at the CLI.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from gausscond.checks import (
     random_gaussian,
     random_graded_instance,
     random_map,
+    run_suite,
 )
 from gausscond.cli import main
 from gausscond.conditioning import (
@@ -33,6 +37,7 @@ from gausscond.conditioning import (
 )
 from gausscond.errors import InconsistentObservation, InvalidInput
 from gausscond.gaussian import Gaussian, sample
+from gausscond.oracle import ginv_condition
 from gausscond.spectral import SymOperator, frob, maxabs
 
 
@@ -243,3 +248,51 @@ def test_covariance_near_the_float_limit_is_rejected_cleanly(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
         paths.append(str(tmp_path / f"{name}.json"))
     assert main(["condition", *paths]) == 2
+
+
+BIVARIATE = {"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.5, 1.0]]}
+
+
+def _files(tmp_path, **objs):
+    for name, obj in objs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    return {name: str(tmp_path / f"{name}.json") for name in objs}
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_non_finite_rank_tol_scale_is_rejected(tmp_path, bad):
+    # A NaN or infinite cut would make every rank 0: a point mass at the prior mean.
+    g, t = _law(BIVARIATE["mean"], BIVARIATE["cov"]), np.array([[1.0, 0.0]])
+    for call in (lambda: condition(g, t, bad), lambda: sample(g, 1, 0, bad)):
+        with pytest.raises(InvalidInput, match="rank_tol_scale must be positive and finite"):
+            call()
+    p = _files(tmp_path, model=BIVARIATE, field={**BIVARIATE, "rank_tol_scale": bad}, t=[[1.0, 0.0]], y=[2.0])
+    assert main(["condition", p["model"], p["t"], p["y"], "--rank-tol-scale", str(bad)]) == 2
+    assert main(["condition", p["field"], p["t"], p["y"]]) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_non_finite_observation_or_state_is_rejected(tmp_path, bad):
+    g, t = _law(BIVARIATE["mean"], BIVARIATE["cov"]), np.array([[1.0, 0.0]])
+    for call in (lambda: lift_observation(g, t, [bad], strict=True),
+                 lambda: lift_observation(g, t, [bad]),
+                 lambda: ginv_condition(g, t, [bad])):
+        with pytest.raises(InvalidInput, match="observation has non-finite entries"):
+            call()
+    with pytest.raises(InvalidInput, match="state has non-finite entries"):
+        evaluate(condition(g, t), [bad, 0.0], check_support=True)
+    p = _files(tmp_path, model=BIVARIATE, t=[[1.0, 0.0]], y=[bad])
+    assert main(["condition", p["model"], p["t"], p["y"], "--strict-support"]) == 2
+
+
+def test_negative_seed_and_no_trials_are_rejected(tmp_path):
+    g = _law(BIVARIATE["mean"], BIVARIATE["cov"])
+    for call in (lambda: sample(g, 1, -1), lambda: run_suite("spectral", 1, -1),
+                 lambda: run_suite("spectral", 0), lambda: run_suite("all", -3)):
+        with pytest.raises(InvalidInput):
+            call()
+    model = _files(tmp_path, model=BIVARIATE)["model"]
+    for argv in (["sample", model, "--seed", "-1"], ["check", "spectral", "--seed", "-1"],
+                 ["check", "spectral", "--trials", "0"], ["check", "spectral", "--trials", "-3"]):
+        assert main(argv) == 2, argv
