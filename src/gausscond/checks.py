@@ -15,6 +15,7 @@ rank_tol_scale).
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,14 +58,6 @@ from .spectral import (
     row_space_projector,
     sqrt_psd,
 )
-
-DEFAULT_TRIALS = {
-    "spectral": 200,
-    "conditioning": 100,
-    "oracle": 200,
-    "regression": 100,
-}
-
 
 @dataclass(frozen=True)
 class PropertyCheck:
@@ -219,33 +212,57 @@ def _mc_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def _report(suite: str, trials: int, seed: int, rank_tol_scale, props, t0: float) -> CheckReport:
-    results = tuple(w.result() for w in props)
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-    return CheckReport(suite, trials, seed, scale, results, time.perf_counter() - t0)
-
-
 # ---------------------------------------------------------------------------
-# Suites.
+# Suites. Each body draws its instances from (rng, trials, seed) and records
+# properties through prop(name), which opens one _Worst per property in the
+# report's order; _suite runs it and registers it.
+
+DEFAULT_TRIALS: dict[str, int] = {}
+SUITES: dict[str, Callable[..., CheckReport]] = {}
 
 
-def check_spectral(
-    trials: int | None = None, seed: int = 0, rank_tol_scale: float | None = None
-) -> CheckReport:
-    trials = DEFAULT_TRIALS["spectral"] if trials is None else trials
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
+def _suite(name: str, default_trials: int):
+    """Register a suite body as SUITES[name], run through one argument rule and timer."""
 
-    recon = _Worst("eigen_reconstruction")
-    resid = _Worst("eigen_residual")
-    ortho = _Worst("eigen_orthonormal")
-    img_norm = _Worst("eigenvalue_is_image_norm")
-    comple = _Worst("projector_complementarity")
-    idem = _Worst("projector_idempotent")
-    sq = _Worst("sqrt_squares_back")
-    half_ids = _Worst("half_inverse_identities")
-    factor = _Worst("left_factor_projector")
-    pivot = _Worst("left_factor_pivot_margin")
+    def register(body) -> Callable[..., CheckReport]:
+        def check(
+            trials: int | None = None, seed: int = 0, rank_tol_scale: float | None = None
+        ) -> CheckReport:
+            trials = default_trials if trials is None else trials
+            if seed < 0 or trials < 1:
+                raise InvalidInput(f"need seed >= 0 and trials >= 1, got seed {seed}, trials {trials}")
+            scale = _resolve_rank_tol_scale(rank_tol_scale)
+            props: list[_Worst] = []
+
+            def prop(prop_name: str) -> _Worst:
+                props.append(_Worst(prop_name))
+                return props[-1]
+
+            t0 = time.perf_counter()
+            body(np.random.default_rng(seed), trials, seed, scale, prop)
+            results = tuple(w.result() for w in props)
+            return CheckReport(name, trials, seed, scale, results, time.perf_counter() - t0)
+
+        check.__name__ = check.__qualname__ = body.__name__
+        DEFAULT_TRIALS[name] = default_trials
+        SUITES[name] = check
+        return check
+
+    return register
+
+
+@_suite("spectral", 200)
+def check_spectral(rng, trials: int, seed: int, rank_tol_scale: float, prop) -> None:
+    recon = prop("eigen_reconstruction")
+    resid = prop("eigen_residual")
+    ortho = prop("eigen_orthonormal")
+    img_norm = prop("eigenvalue_is_image_norm")
+    comple = prop("projector_complementarity")
+    idem = prop("projector_idempotent")
+    sq = prop("sqrt_squares_back")
+    half_ids = prop("half_inverse_identities")
+    factor = prop("left_factor_projector")
+    pivot = prop("left_factor_pivot_margin")
 
     for k in range(trials):
         n = int(rng.integers(2, 9))
@@ -296,31 +313,23 @@ def check_spectral(
         )
         pivot.add(1e-12 * frob(u) / lu_min_pivot(u), 1.0)
 
-    props = [recon, resid, ortho, img_norm, comple, idem, sq, half_ids, factor, pivot]
-    return _report("spectral", trials, seed, rank_tol_scale, props, t0)
 
-
-def check_conditioning(
-    trials: int | None = None, seed: int = 0, rank_tol_scale: float | None = None
-) -> CheckReport:
-    trials = DEFAULT_TRIALS["conditioning"] if trials is None else trials
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-
-    indep = _Worst("split_independence")
-    partition = _Worst("split_partition_identity")
-    recon = _Worst("split_reconstruction")
-    anova = _Worst("variance_decomposition")
-    reduction = _Worst("square_reduction_equivalence")
-    null_match = _Worst("reduction_null_space_match")
-    char_adj = _Worst("pushforward_char_identity")
-    marginals = _Worst("joint_marginals_exact")
-    support = _Worst("sample_support")
-    indep_sym = _Worst("independence_symmetry")
-    decorr = _Worst("split_sample_decorrelation")
-    tower = _Worst("conditional_mean_tower")
-    stat_indep = _Worst("mean_variance_statistic_independence")
-    suff = _Worst("location_sufficiency")
+@_suite("conditioning", 100)
+def check_conditioning(rng, trials: int, seed: int, rank_tol_scale: float, prop) -> None:
+    indep = prop("split_independence")
+    partition = prop("split_partition_identity")
+    recon = prop("split_reconstruction")
+    anova = prop("variance_decomposition")
+    reduction = prop("square_reduction_equivalence")
+    null_match = prop("reduction_null_space_match")
+    char_adj = prop("pushforward_char_identity")
+    marginals = prop("joint_marginals_exact")
+    support = prop("sample_support")
+    indep_sym = prop("independence_symmetry")
+    decorr = prop("split_sample_decorrelation")
+    tower = prop("conditional_mean_tower")
+    stat_indep = prop("mean_variance_statistic_independence")
+    suff = prop("location_sufficiency")
 
     for _ in range(trials):
         g, t = random_conditioning_instance(rng)
@@ -441,26 +450,13 @@ def check_conditioning(
             maxabs(evaluate(law_loc, y_probe).mean - evaluate(laws[0], y_probe).mean), 1e-12
         )
 
-    props = [
-        indep, partition, recon, anova, reduction, null_match, char_adj,
-        marginals, support, indep_sym, decorr, tower, stat_indep, suff,
-    ]
-    return _report("conditioning", trials, seed, rank_tol_scale, props, t0)
 
-
-def check_oracle(
-    trials: int | None = None, seed: int = 0, rank_tol_scale: float | None = None
-) -> CheckReport:
-    trials = DEFAULT_TRIALS["oracle"] if trials is None else trials
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-
-    agree = _Worst("conditional_agreement")
-    lift = _Worst("lifted_observation_agreement")
-    cutoff = _Worst("cutoff_stability")
-    mc_prior = _Worst("mc_prior_moments")
-
-    base_scale = _resolve_rank_tol_scale(rank_tol_scale)
+@_suite("oracle", 200)
+def check_oracle(rng, trials: int, seed: int, rank_tol_scale: float, prop) -> None:
+    agree = prop("conditional_agreement")
+    lift = prop("lifted_observation_agreement")
+    cutoff = prop("cutoff_stability")
+    mc_prior = prop("mc_prior_moments")
 
     for _ in range(trials):
         g, t = random_conditioning_instance(rng)
@@ -482,11 +478,11 @@ def check_oracle(
 
         if t.shape[0] >= 1:
             mid = SymOperator(t @ d @ t.T)
-            mid_dec = mid.decomposition(base_scale)
+            mid_dec = mid.decomposition(rank_tol_scale)
             pos = mid_dec.eigenvalues[: mid_dec.rank]
             gap_ok = pos.size == 0 or float(np.min(pos)) > 1e3 * 10.0 * mid_dec.rank_tolerance
             if gap_ok:
-                for notch in (base_scale * 10.0, base_scale / 10.0):
+                for notch in (rank_tol_scale * 10.0, rank_tol_scale / 10.0):
                     other = ginv_condition(g, t, y_obs, notch)
                     cutoff.add(maxabs(other.mean - ginv.mean), tol)
                     cutoff.add(maxabs(other.cov.entries - ginv.cov.entries), tol)
@@ -505,21 +501,13 @@ def check_oracle(
     mc_prior.add(maxabs(res.mean - g_prior.mean), band)
     mc_prior.add(maxabs(res.cov.entries - g_prior.cov.entries), band * (1.0 + frob(g_prior.cov.entries)))
 
-    props = [agree, lift, cutoff, mc_prior]
-    return _report("oracle", trials, seed, rank_tol_scale, props, t0)
 
-
-def check_regression(
-    trials: int | None = None, seed: int = 0, rank_tol_scale: float | None = None
-) -> CheckReport:
-    trials = DEFAULT_TRIALS["regression"] if trials is None else trials
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-
-    update = _Worst("projector_extension_update")
-    identity = _Worst("partial_regression_identity")
-    degen = _Worst("degenerate_partial_regression")
-    cross = _Worst("coefficient_cross_check")
+@_suite("regression", 100)
+def check_regression(rng, trials: int, seed: int, rank_tol_scale: float, prop) -> None:
+    update = prop("projector_extension_update")
+    identity = prop("partial_regression_identity")
+    degen = prop("degenerate_partial_regression")
+    cross = prop("coefficient_cross_check")
 
     for k in range(trials):
         # One-dimensional growth of a projection subspace.
@@ -567,17 +555,6 @@ def check_regression(
         y_state = sample(g_deg, 1, _mc_seed(rng), rank_tol_scale)[0]
         degen.add(partial_out_identity_check(g_deg, y_state, rank_tol_scale), 1e-8)
 
-    props = [update, identity, degen, cross]
-    return _report("regression", trials, seed, rank_tol_scale, props, t0)
-
-
-SUITES = {
-    "spectral": check_spectral,
-    "conditioning": check_conditioning,
-    "oracle": check_oracle,
-    "regression": check_regression,
-}
-
 
 def run_suite(
     name: str,
@@ -586,8 +563,6 @@ def run_suite(
     rank_tol_scale: float | None = None,
 ) -> list[CheckReport]:
     """Run one named suite, or all of them; always returns a list of reports."""
-    if seed < 0 or (trials is not None and trials < 1):
-        raise InvalidInput(f"need seed >= 0 and trials >= 1, got seed {seed}, trials {trials}")
     if name == "all":
         return [fn(trials, seed, rank_tol_scale) for fn in SUITES.values()]
     if name not in SUITES:

@@ -60,26 +60,15 @@ def cmd_condition(args) -> int:
     g, t, scale = _load_problem(args)
     law = condition(g, t, scale)
     if args.law_only:
-        out = {
-            "mean_base": io.vector_out(law.prior_mean),
-            "gain": io.matrix_out(law.gain),
-            "cov": io.matrix_out(law.cov.entries),
-            "rank_tol_scale": scale,
-        }
-        print(io.dump(out))
-        return EXIT_OK
-    if args.obs is None:
-        print("error: an observation file is required unless --law-only is given", file=sys.stderr)
-        return EXIT_PARSE
-    obs = io.load_vector(args.obs)
-    state = lift_observation(g, t, obs, scale, strict=args.strict_support)
-    result = evaluate(law, state)
-    out = {
-        "mean": io.vector_out(result.mean),
-        "cov": io.matrix_out(result.cov.entries),
-        "rank_tol_scale": scale,
-    }
-    print(io.dump(out))
+        out = {"mean_base": law.prior_mean, "gain": law.gain, "cov": law.cov.entries}
+    elif args.obs is None:
+        raise InvalidInput("an observation file is required unless --law-only is given")
+    else:
+        obs = io.load_vector(args.obs)
+        state = lift_observation(g, t, obs, scale, strict=args.strict_support)
+        result = evaluate(law, state)
+        out = {"mean": result.mean, "cov": result.cov.entries}
+    print(io.dump({**out, "rank_tol_scale": scale}))
     return EXIT_OK
 
 
@@ -88,10 +77,10 @@ def cmd_decompose(args) -> int:
     dec = decompose(g, t, scale)
     residual = maxabs(t @ g.cov.entries @ dec.independent_map.T)
     out = {
-        "independent_map": io.matrix_out(dec.independent_map),
-        "affine_gain": io.matrix_out(dec.affine_gain),
-        "affine_offset": io.vector_out(dec.affine_offset),
-        "independence_residual": float(residual),
+        "independent_map": dec.independent_map,
+        "affine_gain": dec.affine_gain,
+        "affine_offset": dec.affine_offset,
+        "independence_residual": residual,
         "rank_tol_scale": scale,
     }
     print(io.dump(out))
@@ -106,7 +95,7 @@ def cmd_sample(args) -> int:
         for row in rows:
             print(",".join(repr(float(x)) for x in row))
     else:
-        print(io.dump(io.matrix_out(rows)))
+        print(io.dump(rows))
     return EXIT_OK
 
 

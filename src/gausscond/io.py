@@ -57,10 +57,14 @@ def load_model(path: str | Path) -> tuple[Gaussian, dict]:
         raise InvalidInput(f"{path}: {exc}") from exc
     extra = {k: v for k, v in data.items() if k not in ("mean", "cov")}
     if "rank_tol_scale" in extra:
+        bad_scale = InvalidInput(f"{path}: rank_tol_scale must be a positive finite number")
+        # JSON true would read as 1.0.
+        if isinstance(extra["rank_tol_scale"], bool):
+            raise bad_scale
         try:
             extra["rank_tol_scale"] = _resolve_rank_tol_scale(extra["rank_tol_scale"])
         except (TypeError, ValueError, InvalidInput) as exc:
-            raise InvalidInput(f"{path}: rank_tol_scale must be a positive finite number") from exc
+            raise bad_scale from exc
     for key in ("x_index", "y_index"):
         if key in extra:
             if not isinstance(extra[key], int) or isinstance(extra[key], bool):
@@ -83,14 +87,6 @@ def load_vector(path: str | Path) -> np.ndarray:
     return _as_array(data, path, "vector", 1)
 
 
-def vector_out(v: np.ndarray) -> list[float]:
-    return [float(x) for x in np.asarray(v).reshape(-1)]
-
-
-def matrix_out(a: np.ndarray) -> list[list[float]]:
-    a = np.asarray(a)
-    return [[float(x) for x in row] for row in a]
-
-
-def dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
+def dump(obj) -> str:
+    """Indented JSON; numpy arrays and scalars become nested lists and numbers."""
+    return json.dumps(obj, indent=2, default=lambda a: a.tolist())

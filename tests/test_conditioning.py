@@ -11,6 +11,7 @@ from gausscond.checks import (
     random_psd,
 )
 from gausscond.conditioning import (
+    ConditionalLaw,
     _whiten,
     anova_check,
     condition,
@@ -21,7 +22,7 @@ from gausscond.conditioning import (
 )
 from gausscond.errors import DimError, InconsistentObservation
 from gausscond.gaussian import Gaussian, sample
-from gausscond.spectral import SymOperator, frob, maxabs
+from gausscond.spectral import Projector, SymOperator, frob, maxabs
 
 
 def _law(mean, cov):
@@ -79,6 +80,16 @@ class TestCondition:
     def test_rank_tol_scale_recorded(self):
         law = condition(_bivariate(0.0), np.eye(2), rank_tol_scale=7.5)
         assert law.rank_tol_scale == 7.5
+
+    def test_law_of_mismatched_shapes_rejected(self):
+        null2 = Projector(np.zeros((2, 2)), 0)
+        cov2, cov3 = SymOperator(np.eye(2)), SymOperator(np.eye(3))
+        with pytest.raises(DimError, match="gain shape"):
+            ConditionalLaw(np.zeros(2), np.zeros((2, 3)), cov2, null2)
+        with pytest.raises(DimError, match="dimension mismatch"):
+            ConditionalLaw(np.zeros(2), np.zeros((2, 2)), cov3, null2)
+        with pytest.raises(DimError, match="dimension mismatch"):
+            ConditionalLaw(np.zeros(2), np.zeros((2, 2)), cov2, Projector(np.zeros((3, 3)), 0))
 
 
 class TestEvaluate:

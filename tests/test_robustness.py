@@ -8,8 +8,8 @@ entries near the ends of the floating-point range; and a row of T that
 leaves only rounding noise in S must count as no observation. Each test
 here checks a closed form or an invariance of the law, not a second
 formula. Inputs that no finite law answers (a non-finite scale,
-observation or state, a negative seed, no trials) raise InvalidInput at
-the library call and exit 2 at the CLI.
+observation or state, a non-finite map or operator entry, a negative seed,
+no trials) raise InvalidInput at the library call and exit 2 at the CLI.
 """
 
 import json
@@ -21,6 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscond.checks import (
+    check_conditioning,
+    check_oracle,
+    check_regression,
+    check_spectral,
     random_conditioning_instance,
     random_gaussian,
     random_graded_instance,
@@ -37,6 +41,7 @@ from gausscond.conditioning import (
 )
 from gausscond.errors import InconsistentObservation, InvalidInput
 from gausscond.gaussian import Gaussian, sample
+from gausscond.io import load_model
 from gausscond.oracle import ginv_condition
 from gausscond.spectral import SymOperator, frob, maxabs
 
@@ -271,6 +276,19 @@ def test_non_finite_rank_tol_scale_is_rejected(tmp_path, bad):
     assert main(["condition", p["field"], p["t"], p["y"]]) == 2
 
 
+def test_boolean_rank_tol_scale_field_is_rejected(tmp_path):
+    # JSON true is no scale; read as a number it would be 1.0.
+    p = _files(tmp_path, field={**BIVARIATE, "rank_tol_scale": True})
+    with pytest.raises(InvalidInput, match="rank_tol_scale must be a positive finite number"):
+        load_model(p["field"])
+
+
+def test_boolean_rank_tol_scale_field_exits_2(tmp_path, capsys):
+    p = _files(tmp_path, field={**BIVARIATE, "rank_tol_scale": True}, t=[[1.0, 0.0]], y=[2.0])
+    assert main(["condition", p["field"], p["t"], p["y"]]) == 2
+    assert "rank_tol_scale" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 def test_non_finite_observation_or_state_is_rejected(tmp_path, bad):
@@ -286,10 +304,23 @@ def test_non_finite_observation_or_state_is_rejected(tmp_path, bad):
     assert main(["condition", p["model"], p["t"], p["y"], "--strict-support"]) == 2
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_non_finite_map_or_operator_from_a_library_call_is_rejected(bad):
+    # The CLI stops these in its loader; a library call reaches the types' own check.
+    g = _law(BIVARIATE["mean"], BIVARIATE["cov"])
+    for call in (lambda: condition(g, [[bad, 0.0]]), lambda: SymOperator([[bad]])):
+        with pytest.raises(InvalidInput, match="non-finite entries"):
+            call()
+
+
 def test_negative_seed_and_no_trials_are_rejected(tmp_path):
     g = _law(BIVARIATE["mean"], BIVARIATE["cov"])
-    for call in (lambda: sample(g, 1, -1), lambda: run_suite("spectral", 1, -1),
-                 lambda: run_suite("spectral", 0), lambda: run_suite("all", -3)):
+    calls = [lambda: sample(g, 1, -1), lambda: run_suite("spectral", 1, -1),
+             lambda: run_suite("spectral", 0), lambda: run_suite("all", -3)]
+    for suite in (check_spectral, check_conditioning, check_oracle, check_regression):
+        calls += [lambda f=suite: f(trials=0), lambda f=suite: f(trials=-1),
+                  lambda f=suite: f(seed=-1)]
+    for call in calls:
         with pytest.raises(InvalidInput):
             call()
     model = _files(tmp_path, model=BIVARIATE)["model"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscond.checks import random_map, random_psd, random_symmetric
+from gausscond.checks import random_map, random_orthogonal, random_psd, random_symmetric
 from gausscond.errors import DimError, InvalidInput, NotPositive
 from gausscond.spectral import (
     LinearMap,
@@ -108,6 +108,18 @@ class TestEigSym:
         with pytest.raises(InvalidInput):
             eig_sym(np.diag([2.0, 1.0, 0.5]) * s)
 
+    def test_lost_orthonormality_rejected(self, monkeypatch):
+        # Eigenvectors returned 10% long fail the Gram certificate.
+        eigh = np.linalg.eigh
+
+        def scaled(a, *args):
+            vals, vecs = eigh(a, *args)
+            return vals, vecs * 1.1
+
+        monkeypatch.setattr(np.linalg, "eigh", scaled)
+        with pytest.raises(InvalidInput, match="lost orthonormality"):
+            eig_sym(np.diag([2.0, 1.0, 0.5]))
+
     def test_subnormal_rounding_is_no_solver_error(self):
         # Entries below the smallest normal float round by a few absolute
         # ulps, which no limit relative to the spectrum can state.
@@ -199,6 +211,10 @@ class TestLU:
     def test_singular_matrix(self):
         assert lu_min_pivot(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0.0
 
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInput, match="square"):
+            lu_min_pivot(np.zeros((2, 3)))
+
 
 class TestInvertibleLeftFactor:
     def test_identity_map(self):
@@ -211,6 +227,18 @@ class TestInvertibleLeftFactor:
     def test_rectangular_rejected(self):
         with pytest.raises(DimError):
             invertible_left_factor(np.zeros((2, 3)))
+
+    def test_inaccurate_factor_rejected(self):
+        # Singular values 1, .5, .3, 1e-9 are all kept; U T misses P_row by
+        # about 2e-8, past the certificate's limit of about 2e-9.
+        rng = np.random.default_rng(0)
+        q, v = random_orthogonal(rng, 4), random_orthogonal(rng, 4)
+        with pytest.raises(InvalidInput, match="left factor residual"):
+            invertible_left_factor((q * [1.0, 0.5, 0.3, 1e-9]) @ v.T)
+
+    def test_numerically_singular_factor_rejected(self):
+        with pytest.raises(InvalidInput, match="numerically singular"):
+            invertible_left_factor(np.diag([1.0, 1e-13]))
 
     @given(st.integers(0, 10_000), st.integers(1, 7), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -296,9 +324,18 @@ class TestTypes:
         tm = LinearMap(np.zeros((0, 3)))
         assert tm.rows == 0
 
+    def test_linear_map_rejects_empty_domain(self):
+        with pytest.raises(InvalidInput, match="domain"):
+            LinearMap(np.zeros((2, 0)))
+
     def test_projector_validates(self):
         with pytest.raises(InvalidInput):
             Projector(np.array([[0.5, 0.0], [0.0, 0.0]]), 1)
+        for entries, rank, match in ((np.zeros((2, 3)), 0, "square"),
+                                     (np.array([[1.0, 1e-9], [0.0, 0.0]]), 1, "symmetric"),
+                                     (np.diag([1.0, 0.0]), 2, "trace")):
+            with pytest.raises(InvalidInput, match=match):
+                Projector(entries, rank)
 
     def test_projector_complement(self):
         p = Projector(np.diag([1.0, 0.0, 0.0]), 1)
