@@ -14,6 +14,7 @@ rank_tol_scale).
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -97,7 +98,8 @@ class CheckReport:
 class _Worst:
     """Accumulate the worst residual-to-tolerance ratio across instances.
 
-    A tolerance of zero means the property must hold exactly.
+    A tolerance of zero means the property must hold exactly; a NaN
+    residual counts as infinitely far off, so it fails.
     """
 
     def __init__(self, name: str):
@@ -108,12 +110,12 @@ class _Worst:
         self.seen = False
 
     def add(self, residual: float, tolerance: float) -> None:
-        residual = float(residual)
-        tolerance = float(tolerance)
+        residual, tolerance = float(residual), float(tolerance)
         if tolerance == 0.0:
-            ratio = 0.0 if residual == 0.0 else float("inf")
+            ratio = 0.0 if residual == 0.0 else math.inf
         else:
             ratio = residual / tolerance
+        ratio = math.inf if math.isnan(ratio) else ratio
         if not self.seen or ratio > self.ratio:
             self.ratio = ratio
             self.residual = residual

@@ -40,6 +40,7 @@ from .spectral import (
     Projector,
     SymOperator,
     _map_svd,
+    _outer,
     _resolve_rank_tol_scale,
     _zero_padded,
     as_linear_map,
@@ -128,9 +129,9 @@ class _Whitening:
     Cut by the map rank rule with floor ||T|| ||D^(1/2)|| / c, it gives
     P_row(S) = V_r V_r^T, S^+ = V_r (Sigma_r c)^(-1) W_r^T, range(S) = W_r
     and decompose's left factor, so every route shares one rank decision.
-    D^(1/2), its pseudo-inverse, P_row(S), root_null = D^(1/2) P_null(S),
-    the law and the Decomposition are formed on first use and kept. It holds
-    the prior mean, not the Gaussian, so it makes no reference cycle.
+    D^(1/2), D^(-1/2)+, P_row(S) and root_null = D^(1/2) P_null(S) are formed
+    when it is built, the law and the Decomposition on first use. It holds the
+    prior mean, not the Gaussian, so it makes no reference cycle.
     """
 
     def __init__(self, g: Gaussian, tm: LinearMap, scale: float):
@@ -146,20 +147,9 @@ class _Whitening:
         self.floor = frob(tm.entries) * frob(self.root) / self.size
         self.padded = _zero_padded(s / self.size)
         self.w, self.sv, self.vt, self.rank = _map_svd(self.padded, scale, self.floor)
-
-    @cached_property
-    def pinv_root(self) -> np.ndarray:
-        return self.d_dec.pinv_sqrt_matrix()
-
-    @cached_property
-    def p_row(self) -> Projector:
-        v_r = self.vt[: self.rank, : self.tm.cols].T
-        out = v_r @ v_r.T
-        return Projector(out / 2.0 + out.T / 2.0, self.rank)
-
-    @cached_property
-    def root_null(self) -> np.ndarray:
-        return self.root @ (np.eye(self.tm.cols) - self.p_row.entries)
+        self.pinv_root = self.d_dec.pinv_sqrt_matrix()
+        self.p_row = Projector(_outer(self.vt[: self.rank, : tm.cols].T), self.rank)
+        self.root_null = self.root @ (np.eye(tm.cols) - self.p_row.entries)
 
     @cached_property
     def law(self) -> ConditionalLaw:
@@ -216,8 +206,9 @@ def _consistent(residual: np.ndarray, size: float, ref: float, dim: int, what: s
     # The one consistency check: a residual may reach 1e-8 of the size it is measured
     # against plus 100 dim eps ref, the rounding of the dim-term products of size ref
     # that formed it. It is no rank decision, so rank_tol_scale does not move it.
+    # A NaN residual is outside every tolerance.
     tol = 1e-8 * size + 100.0 * dim * EPS * ref
-    if (off := frob(residual)) > tol:
+    if not (off := frob(residual)) <= tol:
         raise InconsistentObservation(f"{what} by {off:.3e} (tol {tol:.3e})")
 
 
@@ -307,6 +298,8 @@ def lift_observation(
     r, m, n = wh.rank, tm.rows, tm.cols
     coef = (wh.w[:m, :r].T @ shift) / (wh.sv[:r] * wh.size)
     state = g.mean + wh.root @ (wh.vt[:r, :n].T @ coef)
+    if not np.all(np.isfinite(state)):
+        raise InvalidInput("conditional mean is not finite: T mu or the lift overflows")
     if strict:
         ref = frob(tm.entries) * (frob(g.mean) + frob(wh.root) * frob(coef)) + frob(obs)
         _consistent(tm.entries @ state - obs, frob(obs), ref, n, "observed value misses the attainable set")

@@ -57,13 +57,14 @@ def load_model(path: str | Path) -> tuple[Gaussian, dict]:
         raise InvalidInput(f"{path}: {exc}") from exc
     extra = {k: v for k, v in data.items() if k not in ("mean", "cov")}
     if "rank_tol_scale" in extra:
-        bad_scale = InvalidInput(f"{path}: rank_tol_scale must be a positive finite number")
-        # JSON true would read as 1.0.
-        if isinstance(extra["rank_tol_scale"], bool):
+        bad_scale = InvalidInput(f"{path}: rank_tol_scale must be a positive finite number or null")
+        scale = extra["rank_tol_scale"]
+        # Only a JSON number, or null for the default: true would read as 1.0, "1e3" as 1000.
+        if isinstance(scale, bool) or not isinstance(scale, (int, float, type(None))):
             raise bad_scale
         try:
-            extra["rank_tol_scale"] = _resolve_rank_tol_scale(extra["rank_tol_scale"])
-        except (TypeError, ValueError, InvalidInput) as exc:
+            extra["rank_tol_scale"] = _resolve_rank_tol_scale(scale)
+        except (OverflowError, InvalidInput) as exc:
             raise bad_scale from exc
     for key in ("x_index", "y_index"):
         if key in extra:

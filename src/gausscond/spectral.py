@@ -221,6 +221,12 @@ class Projector:
         return Projector(np.eye(self.dim) - self.entries, self.dim - self.subspace_rank)
 
 
+def _outer(v: np.ndarray, d=None) -> np.ndarray:
+    """V diag(d) V^T, or V V^T (a symmetric rank update) without d, symmetrized."""
+    out = v @ v.T if d is None else (v * d) @ v.T
+    return out / 2.0 + out.T / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenpairs of a symmetric operator plus its numerical rank split.
@@ -246,13 +252,8 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
 
-    def _synthesize(self, diag: np.ndarray) -> np.ndarray:
-        v = self.eigenvectors
-        out = (v * diag) @ v.T
-        return out / 2.0 + out.T / 2.0
-
     def reconstruct(self) -> np.ndarray:
-        return self._synthesize(self.eigenvalues)
+        return _outer(self.eigenvectors, self.eigenvalues)
 
     def _positive_part(self, fn) -> np.ndarray:
         # fn of the eigenvalues above the rank cut, exact zeros elsewhere, so every
@@ -261,7 +262,7 @@ class SpectralDecomposition:
         vals = np.zeros_like(self.eigenvalues)
         pos = self.eigenvalues > self.rank_tolerance
         vals[pos] = fn(self.eigenvalues[pos])
-        return self._synthesize(vals)
+        return _outer(self.eigenvectors, vals)
 
     def sqrt_matrix(self) -> np.ndarray:
         return self._positive_part(np.sqrt)
@@ -273,9 +274,7 @@ class SpectralDecomposition:
         return self._positive_part(lambda x: 1.0 / x)
 
     def range_projector_matrix(self) -> np.ndarray:
-        v = self.eigenvectors[:, : self.rank]
-        out = v @ v.T
-        return out / 2.0 + out.T / 2.0
+        return _outer(self.eigenvectors[:, : self.rank])
 
     def null_projector_matrix(self) -> np.ndarray:
         return np.eye(self.dim) - self.range_projector_matrix()
@@ -293,7 +292,7 @@ class SpectralDecomposition:
         operator is never factored at any rank_tol_scale.
         """
         vals = np.where(np.arange(self.dim) < keep, np.maximum(self.eigenvalues, 0.0), 0.0)
-        op = SymOperator(self._synthesize(vals))
+        op = SymOperator(_outer(self.eigenvectors, vals))
         op._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _certified(op.entries, vals, self.eigenvectors, None)
         return op
 
@@ -385,8 +384,7 @@ def row_space_projector(t, rank_tol_scale: float | None = None) -> Projector:
     """
     tm = as_linear_map(t)
     q = orthonormal_columns(tm.entries.T, rank_tol_scale)
-    out = q @ q.T
-    return Projector(out / 2.0 + out.T / 2.0, q.shape[1])
+    return Projector(_outer(q), q.shape[1])
 
 
 def null_space_projector(t, rank_tol_scale: float | None = None) -> Projector:

@@ -1,11 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import gausscond.checks as checks
 from gausscond.checks import (
     DEFAULT_TRIALS,
     SUITES,
+    _Worst,
+    check_regression,
     check_spectral,
     random_graded_instance,
     random_map,
@@ -106,3 +110,27 @@ class TestSuites:
 
     def test_suite_registry_complete(self):
         assert set(SUITES) == {"spectral", "conditioning", "oracle", "regression"}
+
+    def test_nan_residual_fails_its_property(self):
+        # NaN compares false with every ratio, so it must count as infinitely far off.
+        worst = _Worst("p")
+        worst.add(0.5, 1.0)
+        worst.add(math.nan, 1.0)
+        worst.add(0.25, 1.0)
+        result = worst.result()
+        assert not result.passed
+        assert math.isnan(result.residual)
+
+    def test_nan_identity_check_fails_the_regression_suite(self, monkeypatch):
+        real, calls = checks.partial_out_identity_check, []
+
+        def second_is_nan(*args):
+            calls.append(None)
+            return math.nan if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(checks, "partial_out_identity_check", second_is_nan)
+        report = check_regression(trials=4, seed=0)
+        assert len(calls) > 2
+        failed = [p.name for p in report.properties if not p.passed]
+        assert failed == ["partial_regression_identity"]
+        assert not report.all_passed

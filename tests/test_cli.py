@@ -302,6 +302,20 @@ class TestParsing:
         assert code == 2
         assert "mean" in err
 
+    def test_malformed_model_exit_2(self, tmp_path, capsys):
+        # Each fault is named in the message, with the file's path.
+        for model, match in (({"mean": ["a", "b"], "cov": [[1.0, 0.0], [0.0, 1.0]]}, "mean is not numeric"),
+                             ([[0.0], [[1.0]]], "model must be a JSON object"),
+                             ({"mean": [0.0]}, "model is missing 'cov'"),
+                             ({"mean": [0.0, 0.0], "cov": np.eye(2).tolist(), "x_index": 0.0},
+                              "x_index must be an integer"),
+                             ({"mean": [0.0, 0.0], "cov": np.eye(2).tolist(), "y_index": "1"},
+                              "y_index must be an integer")):
+            path = _write(tmp_path / "m.json", model)
+            code, _, err = _run(capsys, ["partial-out", path])
+            assert code == 2, model
+            assert match in err and path in err, err
+
     def test_negative_rank_tol_scale_exit_2(self, tmp_path, capsys):
         model = _write(tmp_path / "m.json", {"mean": [0.0], "cov": [[1.0]]})
         code, _, _ = _run(capsys, ["sample", model, "--rank-tol-scale", "-1"])

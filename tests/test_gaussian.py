@@ -9,6 +9,7 @@ from gausscond.checks import random_gaussian, random_map, random_orthogonal
 from gausscond.errors import DimError, InvalidInput, NotPositive
 from gausscond.gaussian import (
     Gaussian,
+    JointGaussian,
     _psd_clamped,
     char_fn,
     independence_test,
@@ -48,6 +49,10 @@ class TestGaussian:
         with pytest.raises(InvalidInput):
             _law([np.nan], [[1.0]])
 
+    def test_empty_mean_rejected(self):
+        with pytest.raises(InvalidInput, match="at least one coordinate"):
+            Gaussian(np.zeros(0), SymOperator([[1.0]]))
+
     def test_mean_is_read_only(self):
         g = _law([1.0, 2.0], np.eye(2))
         with pytest.raises(ValueError):
@@ -64,6 +69,13 @@ class TestCharFn:
     def test_at_zero_is_one(self):
         g = _law([3.0, -1.0], np.eye(2))
         assert char_fn(g, [0.0, 0.0]) == 1.0 + 0.0j
+
+    def test_argument_is_checked(self):
+        g = _law([3.0, -1.0], np.eye(2))
+        with pytest.raises(DimError):
+            char_fn(g, [0.0, 0.0, 0.0])
+        with pytest.raises(InvalidInput, match="non-finite"):
+            char_fn(g, [np.inf, 0.0])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -96,6 +108,8 @@ class TestPushforwardAndJoint:
     def test_empty_output_rejected(self):
         with pytest.raises(DimError):
             pushforward(_law([0.0], [[1.0]]), np.zeros((0, 1)))
+        with pytest.raises(DimError, match="both maps"):
+            joint(_law([0.0], [[1.0]]), np.zeros((0, 1)), np.zeros((0, 1)))
 
     @pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
     def test_identity_pushforward_keeps_the_rank(self, s):
@@ -128,6 +142,14 @@ class TestPushforwardAndJoint:
         assert jg.block_split == 0
         with pytest.raises(DimError):
             jg.marginal_first()
+        jg = joint(g, np.eye(2), np.zeros((0, 2)))
+        assert jg.block_split == 2
+        with pytest.raises(DimError, match="second block is empty"):
+            jg.marginal_second()
+        # Built directly, the type checks its own shapes.
+        for mean, split in (([0.0, 1.0, 2.0], 1), ([0.0, 1.0], -1), ([0.0, 1.0], 3)):
+            with pytest.raises(DimError):
+                JointGaussian(np.array(mean), SymOperator(np.eye(2)), split)
 
 
 class TestPsdClamp:

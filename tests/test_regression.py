@@ -175,6 +175,10 @@ class TestExtendedProjectionDelta:
         a = extended_projection_delta(basis_cols, x, y)
         b = extended_projection_delta(basis_cols.T, x, y)
         assert maxabs(a - b) <= 1e-12
+        # A 1-D basis is one vector.
+        a = extended_projection_delta(basis_cols[:, :1], x, y)
+        b = extended_projection_delta(basis_cols[:, 0], x, y)
+        assert maxabs(a - b) <= 1e-12
 
     def test_x_inside_subspace_rejected(self):
         basis = np.eye(4)[:, :2]
@@ -192,6 +196,8 @@ class TestExtendedProjectionDelta:
     def test_dim_mismatch(self):
         with pytest.raises(DimError):
             extended_projection_delta(np.zeros((3, 1)), np.ones(3), np.ones(4))
+        with pytest.raises(DimError, match="basis vectors have dim 2"):
+            extended_projection_delta(np.zeros((2, 1)), np.ones(3), np.ones(3))
 
     def test_orthogonal_to_old_subspace(self):
         rng = np.random.default_rng(12)

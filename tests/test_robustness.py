@@ -33,6 +33,7 @@ from gausscond.checks import (
 )
 from gausscond.cli import main
 from gausscond.conditioning import (
+    _consistent,
     anova_check,
     condition,
     decompose,
@@ -255,6 +256,19 @@ def test_covariance_near_the_float_limit_is_rejected_cleanly(tmp_path):
     assert main(["condition", *paths]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("strict", (False, True))
+def test_lift_that_overflows_is_rejected(strict):
+    # T mu = 1e320 overflows (numpy warns), so the computed lift is NaN though the
+    # exact one is (0, 0): no mode may return it, and no NaN residual may pass the
+    # strict check.
+    g = _law([1e160, 0.0], np.eye(2))
+    with pytest.raises(InvalidInput, match="not finite"):
+        lift_observation(g, [[1e160, 0.0]], [0.0], strict=strict)
+    with pytest.raises(InconsistentObservation):
+        _consistent(np.array([math.nan, 0.0]), 1.0, 1.0, 2, "NaN residual")
+
+
 BIVARIATE = {"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.5, 1.0]]}
 
 
@@ -276,17 +290,32 @@ def test_non_finite_rank_tol_scale_is_rejected(tmp_path, bad):
     assert main(["condition", p["field"], p["t"], p["y"]]) == 2
 
 
+NOT_A_NUMBER = (True, "1e3", "100", [100.0])
+
+
 def test_boolean_rank_tol_scale_field_is_rejected(tmp_path):
-    # JSON true is no scale; read as a number it would be 1.0.
-    p = _files(tmp_path, field={**BIVARIATE, "rank_tol_scale": True})
-    with pytest.raises(InvalidInput, match="rank_tol_scale must be a positive finite number"):
-        load_model(p["field"])
+    # Only a JSON number, or null, is a scale: read as numbers, true would be 1.0
+    # and the string "1e3" 1000.
+    for field in NOT_A_NUMBER:
+        p = _files(tmp_path, field={**BIVARIATE, "rank_tol_scale": field})
+        with pytest.raises(InvalidInput, match="rank_tol_scale must be a positive finite number"):
+            load_model(p["field"])
 
 
 def test_boolean_rank_tol_scale_field_exits_2(tmp_path, capsys):
-    p = _files(tmp_path, field={**BIVARIATE, "rank_tol_scale": True}, t=[[1.0, 0.0]], y=[2.0])
-    assert main(["condition", p["field"], p["t"], p["y"]]) == 2
-    assert "rank_tol_scale" in capsys.readouterr().err
+    for field in NOT_A_NUMBER:
+        p = _files(tmp_path, field={**BIVARIATE, "rank_tol_scale": field}, t=[[1.0, 0.0]], y=[2.0])
+        assert main(["condition", p["field"], p["t"], p["y"]]) == 2, field
+        assert "rank_tol_scale" in capsys.readouterr().err
+
+
+def test_null_or_integer_rank_tol_scale_field_is_read(tmp_path):
+    p = _files(tmp_path, null={**BIVARIATE, "rank_tol_scale": None},
+               int={**BIVARIATE, "rank_tol_scale": 1000}, big={**BIVARIATE, "rank_tol_scale": 10**400})
+    assert load_model(p["null"])[1]["rank_tol_scale"] == 100.0
+    assert load_model(p["int"])[1]["rank_tol_scale"] == 1000.0
+    with pytest.raises(InvalidInput, match="rank_tol_scale"):
+        load_model(p["big"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -337,6 +337,15 @@ class TestTypes:
             with pytest.raises(InvalidInput, match=match):
                 Projector(entries, rank)
 
+    def test_operators_and_projectors_coerce(self):
+        # A Projector reads as a SymOperator, and either as a LinearMap.
+        p = range_projector(np.diag([2.0, 0.0, 1.0]))
+        assert np.array_equal(sqrt_psd(p).entries, np.diag([1.0, 0.0, 1.0]))
+        for op in (SymOperator(np.diag([2.0, 0.0, 1.0])), p):
+            tm = as_linear_map(op)
+            assert isinstance(tm, LinearMap) and np.array_equal(tm.entries, op.entries)
+            assert row_space_projector(op).subspace_rank == 2
+
     def test_projector_complement(self):
         p = Projector(np.diag([1.0, 0.0, 0.0]), 1)
         c = p.complement()
