@@ -129,9 +129,9 @@ class _Whitening:
     Cut by the map rank rule with floor ||T|| ||D^(1/2)|| / c, it gives
     P_row(S) = V_r V_r^T, S^+ = V_r (Sigma_r c)^(-1) W_r^T, range(S) = W_r
     and decompose's left factor, so every route shares one rank decision.
-    D^(1/2), D^(-1/2)+, P_row(S) and root_null = D^(1/2) P_null(S) are formed
-    when it is built, the law and the Decomposition on first use. It holds the
-    prior mean, not the Gaussian, so it makes no reference cycle.
+    D^(1/2), P_row(S) and the gain K = D^(1/2) P_row(S) D^(-1/2)+ are formed when
+    it is built, the law and the Decomposition (M = P_range(D) - K) on first use.
+    It holds the prior mean, not the Gaussian, so it makes no reference cycle.
     """
 
     def __init__(self, g: Gaussian, tm: LinearMap, scale: float):
@@ -147,32 +147,31 @@ class _Whitening:
         self.floor = frob(tm.entries) * frob(self.root) / self.size
         self.padded = _zero_padded(s / self.size)
         self.w, self.sv, self.vt, self.rank = _map_svd(self.padded, scale, self.floor)
-        self.pinv_root = self.d_dec.pinv_sqrt_matrix()
         self.p_row = Projector(_outer(self.vt[: self.rank, : tm.cols].T), self.rank)
-        self.root_null = self.root @ (np.eye(tm.cols) - self.p_row.entries)
+        self.gain = self.root @ self.p_row.entries @ self.d_dec.pinv_sqrt_matrix()
 
     @cached_property
     def law(self) -> ConditionalLaw:
-        root, p_row = self.root, self.p_row.entries
-        gain = root @ p_row @ self.pinv_root
+        root, null_s = self.root, np.eye(self.tm.cols) - self.p_row.entries
         # The roundoff floor of root (I - P) root; past the float limit no tolerance can be stated.
         if not math.isfinite(ref := frob(root) * frob(root)):
             raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
-        cov = _psd_clamped(self.root_null @ root, self.scale, ref, self.d_dec.rank - self.rank)
-        return ConditionalLaw(self.mean, gain, cov, self.d_dec.null_projector, self.scale)
+        cov = _psd_clamped(root @ null_s @ root, self.scale, ref, self.d_dec.rank - self.rank)
+        return ConditionalLaw(self.mean, self.gain, cov, self.d_dec.null_projector, self.scale)
 
     @cached_property
     def decomposition(self) -> Decomposition:
         tm = self.tm
         u = invertible_left_factor(self.padded, self.scale, self.floor)
-        m_map = self.root_null @ self.pinv_root
+        null_d = self.d_dec.null_projector.entries
+        # On the support of the prior, Y - E[Y | T Y] = (P_range(D) - K)(Y - mu).
+        m_map = (np.eye(tm.cols) - null_d) - self.gain
         # T Y - T mu never leaves range(S) on the support of the prior. Off it, U
         # is an arbitrary map onto null(S) that would carry rounding in T Y,
         # scaled by the rows of T that read null(D), into the split; the gain
         # keeps U on range(S).
         w_r = orthonormal_columns(self.padded, self.scale, self.floor)[: tm.rows]
         affine_gain = self.root @ (u[: tm.cols, : tm.rows] @ w_r) @ w_r.T / self.size
-        null_d = self.d_dec.null_projector.entries
         affine_offset = (np.eye(tm.cols) - affine_gain @ tm.entries) @ (null_d @ self.mean)
         for shared in (m_map, affine_gain, affine_offset):
             shared.setflags(write=False)
@@ -206,8 +205,9 @@ def _consistent(residual: np.ndarray, size: float, ref: float, dim: int, what: s
     # The one consistency check: a residual may reach 1e-8 of the size it is measured
     # against plus 100 dim eps ref, the rounding of the dim-term products of size ref
     # that formed it. It is no rank decision, so rank_tol_scale does not move it.
-    # A NaN residual is outside every tolerance.
-    tol = 1e-8 * size + 100.0 * dim * EPS * ref
+    # A NaN residual is outside every tolerance; past the float limit none can be stated.
+    if not math.isfinite(tol := 1e-8 * size + 100.0 * dim * EPS * ref):
+        raise InvalidInput(f"too large to check whether the {what}: the tolerance overflows")
     if not (off := frob(residual)) <= tol:
         raise InconsistentObservation(f"{what} by {off:.3e} (tol {tol:.3e})")
 
@@ -244,7 +244,7 @@ def decompose(g: Gaussian, t, rank_tol_scale: float | None = None) -> Decomposit
     U[:n, :m] S / c = P_row(S); the gain is A = D^(1/2) U[:n, :m] / c
     restricted to range(S). U, P_row(S) and range(S) are read off the one
     SVD of S / c at its own shape, so M and A share one rank decision.
-    M reuses the factor D^(1/2) P_null(S) of the conditional covariance.
+    M = P_range(D) - K reads the conditional law's gain K off the same record.
     """
     return _whiten(g, t, rank_tol_scale).decomposition
 

@@ -40,7 +40,7 @@ EIG_RESIDUAL_TOL = 1e-10            # scaled by max|lambda|, floored at the smal
 PROJECTOR_SYM_TOL = 1e-12
 PROJECTOR_IDEMPOTENT_TOL = 1e-10
 PROJECTOR_TRACE_TOL = 1e-8
-LEFT_FACTOR_TOL = 1e-9              # scaled by 1 + ||T||
+LEFT_FACTOR_TOL = 1e-9              # scaled by 1 + ||T|| / max|T|
 LU_PIVOT_TOL = 1e-12                # lower bound on sigma_min(U), scaled by ||U||
 
 
@@ -450,7 +450,8 @@ def invertible_left_factor(t, rank_tol_scale: float | None = None, ref: float = 
     its conditioning does not depend on the scale of T. A zero map yields
     the identity. ref is the size of a product that computed T, which is
     then known only to eps * ref: it floors the rank cut, and the
-    residual bound scales with max(||T||, ref). Invertibility is
+    residual bound scales with max(||T||, ref) in units of T's largest
+    entry, since U T - P_row does not depend on T's scale. Invertibility is
     certified from U's closed-form inverse X = W diag(sigma_r, sigma_max) V^T
     without another factorization.
     """
@@ -467,7 +468,7 @@ def invertible_left_factor(t, rank_tol_scale: float | None = None, ref: float = 
     v_r = vt[:rank].T
 
     resid = maxabs(out @ tm.entries - v_r @ v_r.T)
-    limit = LEFT_FACTOR_TOL * (1.0 + max(tm.norm(), ref))
+    limit = LEFT_FACTOR_TOL * (1.0 + max(tm.norm(), ref) / maxabs(tm.entries))
     if resid > limit:
         raise InvalidInput(
             f"left factor residual {resid:.3e} exceeds {limit:.3e}; "

@@ -131,6 +131,21 @@ def test_support_check_does_not_depend_on_units(s):
         evaluate(law, np.array([0.5, 0.5]) * s, check_support=True)
 
 
+def test_support_check_past_the_float_limit_fails_closed(tmp_path):
+    # The state leaves the support by 1, but ||y|| + ||mu|| overflows, so no
+    # tolerance can be stated: the check raises rather than accepts.
+    law = condition(_law([1.5e308, 0.0], np.diag([1.0, 0.0])), np.zeros((0, 2)))
+    with pytest.raises(InvalidInput, match="tolerance overflows"):
+        evaluate(law, [1.5e308, 1.0], check_support=True)
+    # The strict lift's tolerance overflows with T mu: exit 2, not a lift. At
+    # unit mean the same unattainable observation is a support violation.
+    t = [[1.0, 0.0], [0.0, 2.0]]
+    for mean, code in ((1e308, 2), (1.0, 4)):
+        p = _files(tmp_path, model={"mean": [mean, 0.0], "cov": [[1.0, 0.0], [0.0, 0.0]]},
+                   t=t, y=[mean, 5.0])
+        assert main(["condition", p["model"], p["t"], p["y"], "--strict-support"]) == code, mean
+
+
 @pytest.mark.parametrize("kind", ("plain", 1e8, 1e12))
 def test_consistency_checks_accept_every_valid_state_at_any_scale(kind):
     # Y ~ N(j mu, j^2 D): the sampled state, its observation and the lifted
@@ -356,3 +371,25 @@ def test_negative_seed_and_no_trials_are_rejected(tmp_path):
     for argv in (["sample", model, "--seed", "-1"], ["check", "spectral", "--seed", "-1"],
                  ["check", "spectral", "--trials", "0"], ["check", "spectral", "--trials", "-3"]):
         assert main(argv) == 2, argv
+
+
+@pytest.mark.parametrize("k, j", ((1, 0), (0, 3), (-20, 7), (200, 100), (240, -300), (-200, 0)))
+def test_power_of_two_units_rescale_every_output_exactly(k, j):
+    # Y in units 2^k and T Y in units 2^(j + k): mu -> 2^k mu, D -> 4^k D,
+    # T -> 2^j T. Scaling by a power of two rounds nothing, so every output
+    # moves by its exact unit: K and M are unit-free, G scales by 4^k, the
+    # lift and the offset by 2^k and A by 2^-j.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        g, t = random_conditioning_instance(rng) if seed % 2 == 0 else random_graded_instance(rng)
+        obs = t @ sample(g, 1, seed)[0]
+        gs, ts = _law(g.mean * 2.0**k, g.cov.entries * 4.0**k), t * 2.0**j
+        law, law_s = condition(g, t), condition(gs, ts)
+        dec, dec_s = decompose(g, t), decompose(gs, ts)
+        lift, lift_s = lift_observation(g, t, obs), lift_observation(gs, ts, obs * 2.0 ** (j + k))
+        assert np.array_equal(law_s.gain, law.gain), seed
+        assert np.array_equal(dec_s.independent_map, dec.independent_map), seed
+        assert np.array_equal(law_s.cov.entries, law.cov.entries * 4.0**k), seed
+        assert np.array_equal(lift_s, lift * 2.0**k), seed
+        assert np.array_equal(dec_s.affine_gain, dec.affine_gain * 2.0**-j), seed
+        assert np.array_equal(dec_s.affine_offset, dec.affine_offset * 2.0**k), seed

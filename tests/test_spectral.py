@@ -278,6 +278,25 @@ class TestInvertibleLeftFactor:
             u = invertible_left_factor(t * scale)
             assert maxabs(u @ (t * scale) - row_space_projector(t).entries) <= 1e-9
 
+    @pytest.mark.parametrize("k", (-40, 0, 40))
+    def test_turned_singular_vectors_rejected_at_any_scale(self, k, monkeypatch):
+        # An SVD whose first two right singular vectors turn by 1e-6 leaves
+        # U T - P_row at 8.9e-7 at every power-of-two scale of T, so the
+        # certificate must reject it at every scale.
+        svd = np.linalg.svd
+        turn = np.array([[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]])
+
+        def turned(a, *args, **kwargs):
+            w, sv, vt = svd(a, *args, **kwargs)
+            vt = vt.copy()
+            vt[:2] = turn @ vt[:2]
+            return w, sv, vt
+
+        t = random_map(np.random.default_rng(0), 4, 4, 4) * 2.0**k
+        monkeypatch.setattr(np.linalg, "svd", turned)
+        with pytest.raises(InvalidInput, match="left factor residual"):
+            invertible_left_factor(t)
+
 
 class TestZeroPadded:
     """One SVD of a at its own shape is the SVD of a zero-padded to a square."""
