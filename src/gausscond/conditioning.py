@@ -144,7 +144,8 @@ class _Whitening:
         # At unit size the left factor's residual bound, which grows with
         # ||S||, stays tight for every scale of T.
         self.size = maxabs(s) or 1.0
-        self.floor = frob(tm.entries) * frob(self.root) / self.size
+        self.root_norm = frob(self.root)
+        self.floor = frob(tm.entries) * self.root_norm / self.size
         self.padded = _zero_padded(s / self.size)
         self.w, self.sv, self.vt, self.rank = _map_svd(self.padded, scale, self.floor)
         self.p_row = Projector(_outer(self.vt[: self.rank, : tm.cols].T), self.rank)
@@ -154,7 +155,7 @@ class _Whitening:
     def law(self) -> ConditionalLaw:
         root, null_s = self.root, np.eye(self.tm.cols) - self.p_row.entries
         # The roundoff floor of root (I - P) root; past the float limit no tolerance can be stated.
-        if not math.isfinite(ref := frob(root) * frob(root)):
+        if not math.isfinite(ref := self.root_norm * self.root_norm):
             raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
         cov = _psd_clamped(root @ null_s @ root, self.scale, ref, self.d_dec.rank - self.rank)
         return ConditionalLaw(self.mean, self.gain, cov, self.d_dec.null_projector, self.scale)
@@ -224,7 +225,7 @@ def evaluate(law: ConditionalLaw, y, check_support: bool = False) -> Gaussian:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != law.dim:
         raise DimError(f"state has dim {y.size} but the law lives on R^{law.dim}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise InvalidInput("state has non-finite entries")
     shift = y - law.prior_mean
     if check_support:
@@ -298,9 +299,9 @@ def lift_observation(
     r, m, n = wh.rank, tm.rows, tm.cols
     coef = (wh.w[:m, :r].T @ shift) / (wh.sv[:r] * wh.size)
     state = g.mean + wh.root @ (wh.vt[:r, :n].T @ coef)
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():
         raise InvalidInput("conditional mean is not finite: T mu or the lift overflows")
     if strict:
-        ref = frob(tm.entries) * (frob(g.mean) + frob(wh.root) * frob(coef)) + frob(obs)
+        ref = frob(tm.entries) * (frob(g.mean) + wh.root_norm * frob(coef)) + frob(obs)
         _consistent(tm.entries @ state - obs, frob(obs), ref, n, "observed value misses the attainable set")
     return state

@@ -53,7 +53,7 @@ class Gaussian:
         mu = np.asarray(self.mean, dtype=float).reshape(-1)
         if mu.size < 1:
             raise InvalidInput("mean must have at least one coordinate")
-        if not np.all(np.isfinite(mu)):
+        if not np.isfinite(mu).all():
             raise InvalidInput("mean has non-finite entries")
         cov = as_sym_operator(self.cov)
         if cov.dim != mu.size:
@@ -131,7 +131,7 @@ def _observed(tm: LinearMap, y) -> np.ndarray:
     obs = np.asarray(y, dtype=float).reshape(-1)
     if obs.size != tm.rows:
         raise DimError(f"observation has dim {obs.size} but the map outputs dim {tm.rows}")
-    if not np.all(np.isfinite(obs)):
+    if not np.isfinite(obs).all():
         raise InvalidInput("observation has non-finite entries")
     return obs
 
@@ -141,7 +141,7 @@ def char_fn(g: Gaussian, t) -> complex:
     t = np.asarray(t, dtype=float).reshape(-1)
     if t.size != g.dim:
         raise DimError(f"argument has dim {t.size} but the law lives on R^{g.dim}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise InvalidInput("argument has non-finite entries")
     quad = float(t @ g.cov.entries @ t)
     lin = float(t @ g.mean)

@@ -36,7 +36,7 @@ def _as_array(obj, path, field: str, ndim: int) -> np.ndarray:
         raise InvalidInput(f"{path}: {field} is not numeric") from exc
     if arr.ndim != ndim:
         raise InvalidInput(f"{path}: {field} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{path}: {field} contains non-finite entries")
     return arr
 

@@ -60,23 +60,26 @@ def _cutoff(rank_tol_scale: float | None, dim: int, size: float, ref: float = 0.
 def frob(a) -> float:
     """Frobenius norm, the package-wide scale for tolerance factors.
 
-    Taken of a / max|a|, so squares neither overflow nor underflow.
+    Taken of a / max|a|, so squares neither overflow nor underflow; x.dot(x)
+    is the sum np.linalg.norm forms, without its per-call dispatch.
     """
     a = np.asarray(a, dtype=float)
-    big = maxabs(a)
-    return big * float(np.linalg.norm(a / big)) if big else 0.0
+    if not (big := maxabs(a)):
+        return 0.0
+    x = (a / big).ravel(order="K")
+    return big * math.sqrt(x.dot(x))
 
 
 def maxabs(a) -> float:
     a = np.asarray(a, dtype=float)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise InvalidInput(f"{name} must be a 2-d matrix, got ndim={out.ndim}")
-    if out.size and not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise InvalidInput(f"{name} has non-finite entries")
     return out
 
@@ -207,7 +210,7 @@ class Projector:
             raise InvalidInput("projector is not symmetric within 1e-12")
         if maxabs(p @ p - p) > PROJECTOR_IDEMPOTENT_TOL:
             raise InvalidInput("projector is not idempotent within 1e-10")
-        trace = float(np.trace(p))
+        trace = float(p.trace())
         if abs(trace - self.subspace_rank) > PROJECTOR_TRACE_TOL:
             raise InvalidInput(
                 f"projector trace {trace} is not within 1e-8 of rank {self.subspace_rank}"
@@ -288,12 +291,14 @@ class SpectralDecomposition:
         """The operator with the eigenvalues past the first keep, and the negative ones, zeroed.
 
         Its eigensolve is these eigenvectors with the clamped values,
-        certified against its own entries by eig_sym's checks, so the
-        operator is never factored at any rank_tol_scale.
+        certified against its own entries by eig_sym's residual check, so
+        the operator is never factored at any rank_tol_scale. The vectors
+        are the ones eig_sym has already certified orthonormal.
         """
         vals = np.where(np.arange(self.dim) < keep, np.maximum(self.eigenvalues, 0.0), 0.0)
         op = SymOperator(_outer(self.eigenvectors, vals))
-        op._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _certified(op.entries, vals, self.eigenvectors, None)
+        _certify_residual(op.entries, vals, self.eigenvectors)
+        op._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _eig_cut(vals, self.eigenvectors, None)
         return op
 
 
@@ -312,32 +317,38 @@ def eig_sym(a, rank_tol_scale: float | None = None) -> SpectralDecomposition:
     vecs = vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.where(vecs[lead, np.arange(op.dim)] < 0.0, -1.0, 1.0)
-    return _certified(op.entries, vals, vecs, rank_tol_scale)
-
-
-def _certified(a: np.ndarray, vals, vecs, rank_tol_scale) -> SpectralDecomposition:
-    # Cheap accuracy certificate for eigenpairs (vals descending) of a;
-    # failure here means the solver did not reach its advertised accuracy,
-    # which callers must not paper over.
-    n = a.shape[0]
-    largest = maxabs(vals)
-    gram = maxabs(vecs.T @ vecs - np.eye(n))
-    if gram > ORTHONORMALITY_TOL * n:
-        raise InvalidInput(f"eigenvector columns lost orthonormality: {gram:.3e}")
-    # Column norms in units of the spectrum, so residuals past 1e154 do not overflow.
-    unit = largest or 1.0
-    resid = np.linalg.norm((a @ vecs - vecs * vals) / unit, axis=0)
-    worst = unit * float(np.max(resid, initial=0.0))
-    # Floored at the smallest normal float: subnormal residuals are rounding, not solver error.
-    limit = max(EIG_RESIDUAL_TOL * largest, float(np.finfo(float).tiny))
-    if worst > limit:
-        raise InvalidInput(f"eigenpair residual {worst:.3e} exceeds {limit:.3e}")
+    _certify_orthonormal(vecs)
+    _certify_residual(op.entries, vals, vecs)
     return _eig_cut(vals, vecs, rank_tol_scale)
 
 
+# Cheap accuracy certificates for eigenpairs; failure means the solver did not
+# reach its advertised accuracy, which callers must not paper over. A NaN
+# defect is outside every limit.
+def _certify_orthonormal(vecs: np.ndarray) -> None:
+    n = vecs.shape[1]
+    gram = vecs.T @ vecs
+    gram.flat[:: n + 1] -= 1.0
+    if not (defect := maxabs(gram)) <= ORTHONORMALITY_TOL * n:
+        raise InvalidInput(f"eigenvector columns lost orthonormality: {defect:.3e}")
+
+
+def _certify_residual(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    largest = maxabs(vals)
+    # Column norms in units of the spectrum, so residuals past 1e154 do not overflow.
+    unit = largest or 1.0
+    r = (a @ vecs - vecs * vals) / unit
+    worst = unit * float(np.sqrt(np.add.reduce(r * r, axis=0)).max(initial=0.0))
+    # Floored at the smallest normal float: subnormal residuals are rounding, not solver error.
+    limit = max(EIG_RESIDUAL_TOL * largest, float(np.finfo(float).tiny))
+    if not worst <= limit:
+        raise InvalidInput(f"eigenpair residual {worst:.3e} exceeds {limit:.3e}")
+
+
 def _eig_cut(vals: np.ndarray, vecs: np.ndarray, rank_tol_scale) -> SpectralDecomposition:
-    # The one rank cut of an operator's certified eigenpairs: dim n, size max|lambda|.
-    tol = _cutoff(rank_tol_scale, vals.size, maxabs(vals))
+    # The one rank cut of an operator's certified eigenpairs (vals descending):
+    # dim n, size max|lambda|, which sits at one end.
+    tol = _cutoff(rank_tol_scale, vals.size, float(max(abs(vals[0]), abs(vals[-1]))))
     return SpectralDecomposition(vals, vecs, int(np.count_nonzero(vals > tol)), tol)
 
 
@@ -348,7 +359,7 @@ def _psd_decomposition(a, rank_tol_scale: float | None, what: str = "operator", 
     op = as_sym_operator(a)
     dec = op.decomposition(rank_tol_scale)
     low = float(dec.eigenvalues[-1])
-    tol = _cutoff(rank_tol_scale, op.dim, maxabs(dec.eigenvalues), ref)
+    tol = _cutoff(rank_tol_scale, op.dim, max(abs(float(dec.eigenvalues[0])), abs(low)), ref)
     if low < -tol:
         raise NotPositive(f"{what} has eigenvalue {low:.3e} below -{tol:.3e}")
     return dec
@@ -469,7 +480,8 @@ def invertible_left_factor(t, rank_tol_scale: float | None = None, ref: float = 
 
     resid = maxabs(out @ tm.entries - v_r @ v_r.T)
     limit = LEFT_FACTOR_TOL * (1.0 + max(tm.norm(), ref) / maxabs(tm.entries))
-    if resid > limit:
+    # A NaN residual or defect, as from 1 / sigma overflowing, fails both checks.
+    if not resid <= limit:
         raise InvalidInput(
             f"left factor residual {resid:.3e} exceeds {limit:.3e}; "
             "the map is too ill-conditioned for this construction"
@@ -479,7 +491,7 @@ def invertible_left_factor(t, rank_tol_scale: float | None = None, ref: float = 
     inverse = (w * d) @ vt
     defect = frob(out @ inverse - np.eye(tm.cols))
     bound = (1.0 - defect) / frob(inverse)
-    if defect >= 1.0 or bound <= LU_PIVOT_TOL * frob(out):
+    if not (defect < 1.0 and bound > LU_PIVOT_TOL * frob(out)):
         raise InvalidInput(
             f"left factor is numerically singular (min singular value bound {bound:.3e})"
         )

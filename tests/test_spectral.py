@@ -1,10 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausscond import spectral
 from gausscond.checks import random_map, random_orthogonal, random_psd, random_symmetric
 from gausscond.errors import DimError, InvalidInput, NotPositive
+from gausscond.gaussian import _psd_clamped
 from gausscond.spectral import (
     LinearMap,
     _zero_padded,
@@ -108,8 +112,13 @@ class TestEigSym:
         with pytest.raises(InvalidInput):
             eig_sym(np.diag([2.0, 1.0, 0.5]) * s)
 
-    def test_lost_orthonormality_rejected(self, monkeypatch):
-        # Eigenvectors returned 10% long fail the Gram certificate.
+    @pytest.mark.parametrize(
+        "solve", (eig_sym, lambda a: _psd_clamped(a, None, 0.0, 1)), ids=("eig_sym", "psd_clamped")
+    )
+    def test_lost_orthonormality_rejected(self, solve, monkeypatch):
+        # Eigenvectors returned 10% long fail the Gram certificate, also on
+        # the way to the PSD clamp, which checks only the residual of the
+        # clamped operator's eigenpairs.
         eigh = np.linalg.eigh
 
         def scaled(a, *args):
@@ -118,7 +127,16 @@ class TestEigSym:
 
         monkeypatch.setattr(np.linalg, "eigh", scaled)
         with pytest.raises(InvalidInput, match="lost orthonormality"):
-            eig_sym(np.diag([2.0, 1.0, 0.5]))
+            solve(np.diag([2.0, 1.0, 0.5]))
+
+    def test_nan_fails_both_eigen_certificates(self):
+        # NaN > limit is False: a certificate passes only a defect it can
+        # show to be within its limit.
+        nan_vecs = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(InvalidInput, match="lost orthonormality"):
+            spectral._certify_orthonormal(nan_vecs)
+        with pytest.raises(InvalidInput, match="eigenpair residual"):
+            spectral._certify_residual(np.eye(2), np.array([1.0, 1.0]), nan_vecs)
 
     def test_subnormal_rounding_is_no_solver_error(self):
         # Entries below the smallest normal float round by a few absolute
@@ -221,6 +239,13 @@ class TestInvertibleLeftFactor:
         u = invertible_left_factor(np.eye(3))
         assert maxabs(u - np.eye(3)) <= 1e-12
 
+    def test_overflowing_inverse_fails_closed(self):
+        # 1 / sigma overflows for a subnormal map, so U holds inf and NaN and
+        # both its residual and its inverse defect are NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInput, match="left factor residual nan"):
+                invertible_left_factor(np.diag([1e-310, 1e-310]))
+
     def test_zero_map_gives_identity(self):
         assert np.array_equal(invertible_left_factor(np.zeros((4, 4))), np.eye(4))
 
@@ -321,6 +346,51 @@ class TestZeroPadded:
         u = invertible_left_factor(tm)
         assert maxabs(u @ tm.entries - row_space_projector(tm).entries) <= 1e-12
         assert factorizations["svd"] == int(m > 0) + 1  # row_space_projector's own SVD
+
+
+def _old_maxabs(a) -> float:
+    a = np.asarray(a, dtype=float)
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _old_frob(a) -> float:
+    a = np.asarray(a, dtype=float)
+    big = _old_maxabs(a)
+    return big * float(np.linalg.norm(a / big)) if big else 0.0
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_GRID = np.arange(15.0).reshape(3, 5) - 7.0
+
+
+class TestReductions:
+    """maxabs and frob give the bits of the numpy wrappers they replace."""
+
+    @pytest.mark.parametrize(
+        "a",
+        (
+            np.zeros(0),
+            np.zeros((0, 4)),
+            np.zeros((3, 0)),
+            np.array([3.0, -4.0, 0.5]),
+            np.array(-2.5),
+            np.array(0.0),
+            [[1, -2], [3, 4]],
+            _GRID.T,
+            _GRID[::2, ::-2],
+            random_symmetric(np.random.default_rng(0), 6).T[1:, ::3],
+            np.array([[5e-324, -1e-310], [2.5e-315, 0.0]]),
+            np.array([[1.7e308, -1.5e308], [1e308, 1.2e308]]).T,
+            np.array([[1.0, np.nan], [2.0, -3.0]]),
+            np.array([np.nan, 1e308, -5e-324]),
+        ),
+    )
+    def test_bit_identical_to_the_wrappers(self, a):
+        assert _bits(maxabs(a)) == _bits(_old_maxabs(a))
+        assert _bits(frob(a)) == _bits(_old_frob(a))
 
 
 class TestTypes:
