@@ -18,9 +18,10 @@ One SVD serves the law, the lift and the split: S, divided by its largest
 entry c, is factored once per (law, T, rank_tol_scale) at its own m x n
 shape, and that SVD, completed by identities, is the SVD of S / c
 zero-padded to a square map. A Gaussian keeps its most recent whitening,
-a record that forms each map of (D, T) once: P_row(S), S^+, range(S), the
-law and the split. condition, lift_observation and decompose only read it,
-so repeat calls on one (law, T) recompute nothing.
+a record that admits T once per call, makes the one rank cut of S and
+forms each map of (D, T) once: P_row(S), S^+, range(S), the law and the
+split. condition, lift_observation and decompose only read it, so repeat
+calls on one (law, T) recompute nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .spectral import (
     LinearMap,
     Projector,
     SymOperator,
-    _map_svd,
+    _map_entries,
     _outer,
     _resolve_rank_tol_scale,
     _zero_padded,
@@ -93,12 +94,10 @@ class Decomposition:
 
     M = independent_map applied to Y is independent of T Y, and on the
     support of the prior Y - M Y = affine_gain (T Y) + affine_offset, so
-    the two summands reconstruct Y exactly. One SVD of the whitened map
-    S = T D^(1/2), completed by identities to the SVD of S zero-padded to
-    a square map, gives both its null projector, hence M, and the padded
-    map's invertible left factor, hence affine_gain; it is the same SVD
-    that condition and lift_observation read. Repeat calls share one
-    split, so its arrays are read-only.
+    the two summands reconstruct Y exactly. Both are read off the whitening
+    record that condition and lift_observation read, with its one SVD and
+    its one rank cut of S. Repeat calls share one split, so its arrays are
+    read-only.
     """
 
     independent_map: np.ndarray
@@ -121,17 +120,17 @@ class AnovaReport:
 
 
 class _Whitening:
-    """S = T D^(1/2) of one (law, T, rank_tol_scale), factored once.
+    """S = T D^(1/2) of one (law, T, rank_tol_scale), factored and cut once.
 
     S is divided by its largest entry c and zero-padded to a square
     k x k map, k = max(m, n). Its SVD W Sigma V^T is one full SVD of S / c
     at its own m x n shape, completed by identities (spectral._zero_padded).
-    Cut by the map rank rule with floor ||T|| ||D^(1/2)|| / c, it gives
-    P_row(S) = V_r V_r^T, S^+ = V_r (Sigma_r c)^(-1) W_r^T, range(S) = W_r
-    and decompose's left factor, so every route shares one rank decision.
-    D^(1/2), P_row(S) and the gain K = D^(1/2) P_row(S) D^(-1/2)+ are formed when
-    it is built, the law and the Decomposition (M = P_range(D) - K) on first use.
-    It holds the prior mean, not the Gaussian, so it makes no reference cycle.
+    Only the record cuts it and reads its factors: range(S) = W_r, cut by the map
+    rank rule with floor ||T|| ||D^(1/2)|| / c, sets rank S for P_row(S) = V_r V_r^T,
+    S^+ = V_r (Sigma_r c)^(-1) W_r^T, the lift and the split. D^(1/2), P_row(S) and
+    the gain K = D^(1/2) P_row(S) D^(-1/2)+ are formed when it is built, the law and
+    the Decomposition (M = P_range(D) - K) on first use. It holds the prior mean,
+    not the Gaussian, so it makes no reference cycle.
     """
 
     def __init__(self, g: Gaussian, tm: LinearMap, scale: float):
@@ -147,7 +146,9 @@ class _Whitening:
         self.root_norm = frob(self.root)
         self.floor = frob(tm.entries) * self.root_norm / self.size
         self.padded = _zero_padded(s / self.size)
-        self.w, self.sv, self.vt, self.rank = _map_svd(self.padded, scale, self.floor)
+        self.w_r = orthonormal_columns(self.padded, scale, self.floor)[: tm.rows]
+        self.rank = self.w_r.shape[1]
+        _, self.sv, self.vt = self.padded.svd
         self.p_row = Projector(_outer(self.vt[: self.rank, : tm.cols].T), self.rank)
         self.gain = self.root @ self.p_row.entries @ self.d_dec.pinv_sqrt_matrix()
 
@@ -170,23 +171,40 @@ class _Whitening:
         # T Y - T mu never leaves range(S) on the support of the prior. Off it, U
         # is an arbitrary map onto null(S) that would carry rounding in T Y,
         # scaled by the rows of T that read null(D), into the split; the gain
-        # keeps U on range(S).
-        w_r = orthonormal_columns(self.padded, self.scale, self.floor)[: tm.rows]
-        affine_gain = self.root @ (u[: tm.cols, : tm.rows] @ w_r) @ w_r.T / self.size
-        affine_offset = (np.eye(tm.cols) - affine_gain @ tm.entries) @ (null_d @ self.mean)
+        # keeps U on range(S). The exact A overflows where S is tiny against
+        # D^(1/2), the offset where mu nears the float limit: such a split fails closed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            affine_gain = self.root @ (u[: tm.cols, : tm.rows] @ self.w_r) @ self.w_r.T / self.size
+            affine_offset = (np.eye(tm.cols) - affine_gain @ tm.entries) @ (null_d @ self.mean)
+        if not (np.isfinite(affine_gain).all() and np.isfinite(affine_offset).all()):
+            raise InvalidInput("the split is not finite: D^(1/2) S^+ or its offset overflows")
         for shared in (m_map, affine_gain, affine_offset):
             shared.setflags(write=False)
         return Decomposition(m_map, affine_gain, affine_offset, self.scale)
 
+    def lift(self, observed, strict: bool) -> np.ndarray:
+        # mu + D^(1/2) S^+ (observed - T mu); see lift_observation.
+        tm, r, n = self.tm, self.rank, self.tm.cols
+        obs = _observed(tm, observed)
+        shift = obs - tm.entries @ self.mean
+        coef = (self.w_r.T @ shift) / (self.sv[:r] * self.size)
+        state = self.mean + self.root @ (self.vt[:r, :n].T @ coef)
+        if not np.isfinite(state).all():
+            raise InvalidInput("conditional mean is not finite: T mu or the lift overflows")
+        if strict:
+            ref = frob(tm.entries) * (frob(self.mean) + self.root_norm * frob(coef)) + frob(obs)
+            _consistent(tm.entries @ state - obs, frob(obs), ref, n, "observed value misses the attainable set")
+        return state
+
 
 def _whiten(g: Gaussian, t, rank_tol_scale) -> _Whitening:
-    # The law's one-entry slot, keyed by T's shape and bytes: an in-place
-    # edit of T never returns a stale record, and a new map replaces the old.
-    tm = _map_on(g, t)
-    scale = _resolve_rank_tol_scale(rank_tol_scale)
-    key = (tm.entries.shape, tm.entries.tobytes(), scale)
+    # The law's one-entry slot, keyed by T's shape and bytes as as_linear_map
+    # reads them: an in-place edit of T never returns a stale record, a new map
+    # replaces the old, and T is wrapped and checked once, when the slot misses.
+    raw, scale = _map_entries(t), _resolve_rank_tol_scale(rank_tol_scale)
+    key = (raw.shape, raw.tobytes(), scale)
     if g._whitening is None or g._whitening[0] != key:
-        object.__setattr__(g, "_whitening", (key, _Whitening(g, tm, scale)))
+        object.__setattr__(g, "_whitening", (key, _Whitening(g, _map_on(g, t), scale)))
     return g._whitening[1]
 
 
@@ -243,9 +261,9 @@ def decompose(g: Gaussian, t, rank_tol_scale: float | None = None) -> Decomposit
     its largest entry c, is zero-padded to a square k x k map,
     k = max(m, n), whose invertible left factor U has
     U[:n, :m] S / c = P_row(S); the gain is A = D^(1/2) U[:n, :m] / c
-    restricted to range(S). U, P_row(S) and range(S) are read off the one
-    SVD of S / c at its own shape, so M and A share one rank decision.
-    M = P_range(D) - K reads the conditional law's gain K off the same record.
+    restricted to range(S). U and range(S) come from the record's one SVD of
+    S / c, and M = P_range(D) - K from the law's gain K on the same record,
+    so M and A share one rank decision. A split that is not finite raises.
     """
     return _whiten(g, t, rank_tol_scale).decomposition
 
@@ -292,16 +310,4 @@ def lift_observation(
     plus the rounding of T mu, D^(1/2) S^+ (observed - T mu) and observed
     raises InconsistentObservation.
     """
-    tm = _map_on(g, t)
-    obs = _observed(tm, observed)
-    wh = _whiten(g, tm, rank_tol_scale)
-    shift = obs - tm.entries @ g.mean
-    r, m, n = wh.rank, tm.rows, tm.cols
-    coef = (wh.w[:m, :r].T @ shift) / (wh.sv[:r] * wh.size)
-    state = g.mean + wh.root @ (wh.vt[:r, :n].T @ coef)
-    if not np.isfinite(state).all():
-        raise InvalidInput("conditional mean is not finite: T mu or the lift overflows")
-    if strict:
-        ref = frob(tm.entries) * (frob(g.mean) + wh.root_norm * frob(coef)) + frob(obs)
-        _consistent(tm.entries @ state - obs, frob(obs), ref, n, "observed value misses the attainable set")
-    return state
+    return _whiten(g, t, rank_tol_scale).lift(observed, strict)

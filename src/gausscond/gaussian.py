@@ -24,6 +24,7 @@ from .errors import DimError, InvalidInput
 from .spectral import (
     LinearMap,
     SymOperator,
+    _psd_clamped,
     _psd_decomposition,
     as_linear_map,
     as_sym_operator,
@@ -146,21 +147,6 @@ def char_fn(g: Gaussian, t) -> complex:
     quad = float(t @ g.cov.entries @ t)
     lin = float(t @ g.mean)
     return cmath.exp(complex(-0.5 * quad, lin))
-
-
-def _psd_clamped(
-    entries: np.ndarray, rank_tol_scale: float | None, ref: float = 0.0, rank: int | None = None
-) -> SymOperator:
-    # The PSD gate raises below the roundoff band of products of size ref. The
-    # eigenvalues past rank, known from the factors of the matrix, and negative
-    # ones become exact zeros; no band zeroes a positive eigenvalue, which may be
-    # exact. Entries stay untouched if none is; the result carries its decomposition.
-    op = SymOperator(entries)
-    dec = _psd_decomposition(op, rank_tol_scale, "matrix", ref)
-    keep = op.dim if rank is None else max(rank, 0)
-    if dec.eigenvalues[-1] >= 0.0 and not dec.eigenvalues[keep:].any():
-        return op
-    return dec._clamped(keep)
 
 
 def pushforward(g: Gaussian, s, rank_tol_scale: float | None = None) -> Gaussian:

@@ -179,15 +179,16 @@ def _zero_padded(a: np.ndarray) -> LinearMap:
     return tm
 
 
-def as_linear_map(a) -> LinearMap:
-    if isinstance(a, LinearMap):
-        return a
-    if isinstance(a, (SymOperator, Projector)):
-        return LinearMap(a.entries)
+def _map_entries(a) -> np.ndarray:
+    # The entries as_linear_map reads, before its copy and checks; a 1-d array is one row.
+    if isinstance(a, (LinearMap, SymOperator, Projector)):
+        return a.entries
     arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return LinearMap(arr)
+    return arr.reshape(1, -1) if arr.ndim == 1 else arr
+
+
+def as_linear_map(a) -> LinearMap:
+    return a if isinstance(a, LinearMap) else LinearMap(_map_entries(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,20 +288,6 @@ class SpectralDecomposition:
         """The certified projector onto the null space, built once per decomposition."""
         return Projector(self.null_projector_matrix(), self.dim - self.rank)
 
-    def _clamped(self, keep: int) -> SymOperator:
-        """The operator with the eigenvalues past the first keep, and the negative ones, zeroed.
-
-        Its eigensolve is these eigenvectors with the clamped values,
-        certified against its own entries by eig_sym's residual check, so
-        the operator is never factored at any rank_tol_scale. The vectors
-        are the ones eig_sym has already certified orthonormal.
-        """
-        vals = np.where(np.arange(self.dim) < keep, np.maximum(self.eigenvalues, 0.0), 0.0)
-        op = SymOperator(_outer(self.eigenvectors, vals))
-        _certify_residual(op.entries, vals, self.eigenvectors)
-        op._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _eig_cut(vals, self.eigenvectors, None)
-        return op
-
 
 def eig_sym(a, rank_tol_scale: float | None = None) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric operator (LAPACK ``eigh``).
@@ -363,6 +350,26 @@ def _psd_decomposition(a, rank_tol_scale: float | None, what: str = "operator", 
     if low < -tol:
         raise NotPositive(f"{what} has eigenvalue {low:.3e} below -{tol:.3e}")
     return dec
+
+
+def _psd_clamped(
+    entries: np.ndarray, rank_tol_scale: float | None, ref: float = 0.0, rank: int | None = None
+) -> SymOperator:
+    # The one PSD clamp of a computed covariance. The gate raises below the roundoff
+    # band of products of size ref. The eigenvalues past rank, known from the factors
+    # of the matrix, and negative ones become exact zeros; no band zeroes a positive one,
+    # which may be exact. Unclamped entries stay untouched; a clamped operator carries
+    # the gate's eigenvectors with its values, certified on its entries, never refactored.
+    op = SymOperator(entries)
+    dec = _psd_decomposition(op, rank_tol_scale, "matrix", ref)
+    keep = np.arange(op.dim) < (op.dim if rank is None else rank)
+    vals = np.where(keep, np.maximum(dec.eigenvalues, 0.0), 0.0)
+    if np.array_equal(vals, dec.eigenvalues):
+        return op
+    clamped = SymOperator(_outer(dec.eigenvectors, vals))
+    _certify_residual(clamped.entries, vals, dec.eigenvectors)
+    clamped._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _eig_cut(vals, dec.eigenvectors, None)
+    return clamped
 
 
 def sqrt_psd(a, rank_tol_scale: float | None = None) -> SymOperator:

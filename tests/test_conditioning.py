@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausscond import conditioning, spectral
 from gausscond.checks import (
     random_conditioning_instance,
     random_gaussian,
     random_graded_instance,
     random_map,
+    random_orthogonal,
     random_psd,
 )
 from gausscond.conditioning import (
@@ -22,7 +24,7 @@ from gausscond.conditioning import (
 )
 from gausscond.errors import DimError, InconsistentObservation
 from gausscond.gaussian import Gaussian, sample
-from gausscond.spectral import Projector, SymOperator, frob, maxabs
+from gausscond.spectral import LinearMap, Projector, SymOperator, frob, maxabs
 
 
 def _law(mean, cov):
@@ -400,6 +402,55 @@ class TestWhitening:
         assert factorizations["svd"] == 3
         _same_results(g, t1, _fresh(g), t1)
         _same_results(g, t2, _fresh(g), t2)
+
+    def test_every_map_form_factors_once_and_agrees(self, factorizations):
+        # Each form as_linear_map accepts keys the slot by the entries it reads,
+        # so each makes one SVD and every array of the 2-D array form.
+        rng = np.random.default_rng(67)
+        g = random_gaussian(rng, 5, 4)
+        t, q = random_map(rng, 3, 5, 2), random_orthogonal(rng, 5)[:, :2]
+        sym, proj = SymOperator(random_psd(rng, 5, 3)), Projector(q @ q.T, 2)
+        forms = ((t, t), (t.tolist(), t), (t[0], t[:1]), (LinearMap(t), t),
+                 (sym, sym.entries), (proj, proj.entries))
+        for form, array in forms:
+            obs = array @ sample(g, 1, 0)[0]
+            ref = _chain(_fresh(g), array, obs)
+            before = factorizations["svd"]
+            got = _chain(_fresh(g), form, obs)
+            assert factorizations["svd"] - before == 1, type(form)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b), type(form)
+
+    def test_fresh_chain_wraps_the_map_once(self, monkeypatch):
+        # T (3 x 5) is wrapped and checked once; the padded 5 x 5 S / c is not T.
+        shapes, post_init = [], LinearMap.__post_init__
+        monkeypatch.setattr(LinearMap, "__post_init__",
+                            lambda tm: shapes.append(np.shape(tm.entries)) or post_init(tm))
+        rng = np.random.default_rng(68)
+        g, t = random_gaussian(rng, 5, 4), random_map(rng, 3, 5, 2)
+        _chain(g, t, t @ sample(g, 1, 0)[0])
+        assert shapes.count((3, 5)) == 1
+
+    def test_fresh_record_cuts_s_once(self, monkeypatch):
+        # The record's one cut, read through orthonormal_columns, and the cut
+        # that invertible_left_factor makes for the paper's U on its own.
+        calls, map_svd, columns = [], spectral._map_svd, conditioning.orthonormal_columns
+        monkeypatch.setattr(spectral, "_map_svd", lambda *a: calls.append("cut") or map_svd(*a))
+        monkeypatch.setattr(conditioning, "orthonormal_columns",
+                            lambda *a: calls.append("columns") or columns(*a))
+        rng = np.random.default_rng(69)
+        g, t = random_gaussian(rng, 5, 4), random_map(rng, 3, 5, 2)
+        _chain(g, t, t @ sample(g, 1, 0)[0])
+        assert calls == ["columns", "cut", "cut"]
+
+
+def _chain(g, t, obs):
+    # Every array of condition -> lift_observation -> evaluate -> decompose.
+    law = condition(g, t)
+    state = lift_observation(g, t, obs)
+    dec = decompose(g, t)
+    return (law.gain, law.cov.entries, state, evaluate(law, state).mean,
+            dec.independent_map, dec.affine_gain, dec.affine_offset)
 
 
 # D and a full-rank square T whose conditional covariance is zero, formed

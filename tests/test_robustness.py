@@ -284,6 +284,34 @@ def test_lift_that_overflows_is_rejected(strict):
         _consistent(np.array([math.nan, 0.0]), 1.0, 1.0, 2, "NaN residual")
 
 
+@pytest.mark.parametrize("seed", (137, 205, 245))
+def test_split_that_overflows_fails_closed(seed):
+    # At T * 1e-300 the exact A = D^(1/2) S^+ overflows, while the law and the
+    # lift stay finite: decompose raises, with no RuntimeWarning on the way.
+    g, t = random_graded_instance(np.random.default_rng(seed), kappa=1e8)
+    t = t * 1e-300
+    assert np.isfinite(condition(g, t).gain).all()
+    assert np.isfinite(lift_observation(g, t, t @ sample(g, 1, seed)[0])).all()
+    with pytest.raises(InvalidInput, match="split is not finite"):
+        decompose(g, t)
+
+
+def test_split_whose_offset_overflows_fails_closed():
+    # A finite A with an offset past the float limit: the exact offset is -6e308.
+    with pytest.raises(InvalidInput, match="split is not finite"):
+        decompose(_law([1e308] * 3, np.diag([1.0, 0.0, 0.0])), [[1.0, 3.0, 3.0]])
+
+
+@pytest.mark.parametrize("seed", (137, 205, 245))
+def test_cli_decompose_that_overflows_exits_2(tmp_path, capsys, seed):
+    # Exit 2 and no output, rather than Infinity and NaN, which are not JSON.
+    g, t = random_graded_instance(np.random.default_rng(seed), kappa=1e8)
+    p = _files(tmp_path, model={"mean": g.mean.tolist(), "cov": g.cov.entries.tolist()},
+               t=(t * 1e-300).tolist())
+    assert main(["decompose", p["model"], p["t"]]) == 2
+    assert capsys.readouterr().out == ""
+
+
 BIVARIATE = {"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.5, 1.0]]}
 
 
@@ -393,3 +421,26 @@ def test_power_of_two_units_rescale_every_output_exactly(k, j):
         assert np.array_equal(lift_s, lift * 2.0**k), seed
         assert np.array_equal(dec_s.affine_gain, dec.affine_gain * 2.0**-j), seed
         assert np.array_equal(dec_s.affine_offset, dec.affine_offset * 2.0**k), seed
+
+
+@pytest.mark.parametrize("k", (-215, -300, -480))
+def test_units_past_the_exact_window_rescale_within_rounding(k):
+    # The draws above with Y in units 2^k and T unscaled. Past about 2^-200
+    # the outputs are no longer exact images of the unscaled ones, but each
+    # stays within rounding of its image, and nothing raises.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        g, t = random_conditioning_instance(rng) if seed % 2 == 0 else random_graded_instance(rng)
+        obs = t @ sample(g, 1, seed)[0]
+        gs = _law(g.mean * 2.0**k, g.cov.entries * 4.0**k)
+        law, law_s = condition(g, t), condition(gs, t)
+        dec, dec_s = decompose(g, t), decompose(gs, t)
+        lift, lift_s = lift_observation(g, t, obs), lift_observation(gs, t, obs * 2.0**k)
+        for x, x_s in ((law.gain, law_s.gain), (dec.independent_map, dec_s.independent_map),
+                       (dec.affine_gain, dec_s.affine_gain)):
+            assert maxabs(x_s - x) <= 1e-10 * max(1.0, maxabs(x)), seed
+        d = maxabs(g.cov.entries)
+        assert maxabs(law_s.cov.entries * 4.0**-k - law.cov.entries) <= 1e-10 * d, seed
+        size = max(maxabs(g.mean), maxabs(lift))
+        assert maxabs(lift_s * 2.0**-k - lift) <= 1e-10 * size, seed
+        assert maxabs(dec_s.affine_offset * 2.0**-k - dec.affine_offset) <= 1e-6 * size, seed
