@@ -14,14 +14,14 @@ from the SVD of S itself, never from S^T S, so a direction of S counts
 as observed down to rank_tol_scale * max(m, n) * eps times the larger of
 sigma_max(S) and ||T|| ||D^(1/2)||, the scale of the roundoff in S.
 
-One SVD serves the law, the lift and the split: S, divided by its largest
-entry c, is factored once per (law, T, rank_tol_scale) at its own m x n
-shape, and that SVD, completed by identities, is the SVD of S / c
-zero-padded to a square map. A Gaussian keeps its most recent whitening,
-a record that admits T once per call, makes the one rank cut of S and
-forms each map of (D, T) once: P_row(S), S^+, range(S), the law and the
-split. condition, lift_observation and decompose only read it, so repeat
-calls on one (law, T) recompute nothing.
+D's eigenbasis needs no second n x n eigensolve: with F = Q_r Lambda_r^(1/2) from
+the prior's gate, S_r = T F (m x rank D), divided by its largest entry c, is factored
+once per (law, T, rank_tol_scale) at its own shape, and that SVD, completed by
+identities, is the SVD of S_r / c zero-padded to a square map; the covariance is read
+off one small SVD of its factor. A Gaussian keeps its most recent whitening, a record
+that admits T once per call, makes the one rank cut of S and forms each map of (D, T)
+once: the gain, S^+, range(S), the law and the split. condition, lift_observation and
+decompose only read it, so repeat calls on one (law, T) recompute nothing.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .spectral import (
     LinearMap,
     Projector,
     SymOperator,
+    _from_eigenpairs,
     _map_entries,
-    _outer,
     _resolve_rank_tol_scale,
     _zero_padded,
     as_linear_map,
@@ -95,7 +95,7 @@ class Decomposition:
     M = independent_map applied to Y is independent of T Y, and on the
     support of the prior Y - M Y = affine_gain (T Y) + affine_offset, so
     the two summands reconstruct Y exactly. Both are read off the whitening
-    record that condition and lift_observation read, with its one SVD and
+    record that condition and lift_observation read, with its one SVD of S_r and
     its one rank cut of S. Repeat calls share one split, so its arrays are
     read-only.
     """
@@ -120,45 +120,50 @@ class AnovaReport:
 
 
 class _Whitening:
-    """S = T D^(1/2) of one (law, T, rank_tol_scale), factored and cut once.
+    """S = T D^(1/2) of one (law, T, rank_tol_scale), factored and cut once, in D's eigenbasis.
 
-    S is divided by its largest entry c and zero-padded to a square
-    k x k map, k = max(m, n). Its SVD W Sigma V^T is one full SVD of S / c
-    at its own m x n shape, completed by identities (spectral._zero_padded).
-    Only the record cuts it and reads its factors: range(S) = W_r, cut by the map
-    rank rule with floor ||T|| ||D^(1/2)|| / c, sets rank S for P_row(S) = V_r V_r^T,
-    S^+ = V_r (Sigma_r c)^(-1) W_r^T, the lift and the split. D^(1/2), P_row(S) and
-    the gain K = D^(1/2) P_row(S) D^(-1/2)+ are formed when it is built, the law and
-    the Decomposition (M = P_range(D) - K) on first use. It holds the prior mean,
-    not the Gaussian, so it makes no reference cycle.
+    With F = Q_r Lambda_r^(1/2) from the gate's eigenpairs, S = S_r Q_r^T for S_r = T F
+    (m x rank D). S_r, divided by its largest entry c and zero-padded to k x k, k = max(m, n),
+    has one full SVD W Sigma V^T at its own shape, completed by identities. Only the record
+    cuts it and reads its factors: range(S) = W_r, cut by the map rank rule with floor
+    ||T|| ||D^(1/2)|| / c, sets rank S for the gain K = (F V_r)(Q_r Lambda_r^(-1/2) V_r)^T,
+    formed when it is built, and for the lift, the law (G = B B^T, B = F V_perp) and the
+    Decomposition (M = P_range(D) - K), formed on first use. It holds the prior mean, not
+    the Gaussian, so it makes no reference cycle.
     """
 
     def __init__(self, g: Gaussian, tm: LinearMap, scale: float):
         self.mean, self.tm, self.scale = g.mean, tm, scale
-        self.d_dec = g.cov.decomposition(scale)
-        self.root = self.d_dec.sqrt_matrix()
-        s = tm.entries @ self.root
-        # S carries roundoff of order eps * ||T|| ||D^(1/2)||, e.g. from a row
-        # of T that reads null(D); that product is the floor of its rank cut.
-        # At unit size the left factor's residual bound, which grows with
-        # ||S||, stays tight for every scale of T.
+        dec = self.d_dec = g.cov.decomposition(scale)
+        q_r, self.root_vals = dec.eigenvectors[:, : dec.rank], np.sqrt(dec.eigenvalues[: dec.rank])
+        self.f = q_r * self.root_vals
+        s = tm.entries @ self.f
+        # S carries roundoff of order eps * ||T|| ||D^(1/2)||, e.g. from a row of T that reads
+        # null(D); that product is the floor of its rank cut. At unit size the left factor's
+        # residual bound, which grows with ||S||, stays tight for every scale of T.
         self.size = maxabs(s) or 1.0
-        self.root_norm = frob(self.root)
+        self.root_norm = frob(self.root_vals)
         self.floor = frob(tm.entries) * self.root_norm / self.size
-        self.padded = _zero_padded(s / self.size)
+        self.padded = _zero_padded(s / self.size, tm.cols)
         self.w_r = orthonormal_columns(self.padded, scale, self.floor)[: tm.rows]
         self.rank = self.w_r.shape[1]
-        _, self.sv, self.vt = self.padded.svd
-        self.p_row = Projector(_outer(self.vt[: self.rank, : tm.cols].T), self.rank)
-        self.gain = self.root @ self.p_row.entries @ self.d_dec.pinv_sqrt_matrix()
+        _, self.sv, vt = self.padded.svd
+        self.v = vt[: dec.rank, : dec.rank].T
+        v_r = self.v[:, : self.rank]
+        self.gain = (self.f @ v_r) @ ((q_r / self.root_vals) @ v_r).T
 
     @cached_property
     def law(self) -> ConditionalLaw:
-        root, null_s = self.root, np.eye(self.tm.cols) - self.p_row.entries
-        # The roundoff floor of root (I - P) root; past the float limit no tolerance can be stated.
+        # The roundoff floor of G; past the float limit no tolerance can be stated.
         if not math.isfinite(ref := self.root_norm * self.root_norm):
             raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
-        cov = _psd_clamped(root @ null_s @ root, self.scale, ref, self.d_dec.rank - self.rank)
+        # G = Q_r C C^T Q_r^T for the core C = Lambda_r^(1/2) V_perp = U_C Sigma_C Z_C^T: its
+        # eigenvectors are Q_r U_C and null(D)'s, its eigenvalues Sigma_C^2 and then exact zeros.
+        q, r_d, kept = self.d_dec.eigenvectors, self.d_dec.rank, self.d_dec.rank - self.rank
+        u_c, s_c, _ = np.linalg.svd(self.root_vals[:, None] * self.v[:, self.rank :])
+        vals = np.concatenate([s_c * s_c, np.zeros(self.tm.cols - kept)])
+        vecs = np.concatenate([q[:, :r_d] @ u_c, q[:, r_d:]], axis=1)
+        cov = _psd_clamped(_from_eigenpairs(vals, vecs), self.scale, ref, kept)
         return ConditionalLaw(self.mean, self.gain, cov, self.d_dec.null_projector, self.scale)
 
     @cached_property
@@ -174,7 +179,7 @@ class _Whitening:
         # keeps U on range(S). The exact A overflows where S is tiny against
         # D^(1/2), the offset where mu nears the float limit: such a split fails closed.
         with np.errstate(over="ignore", invalid="ignore"):
-            affine_gain = self.root @ (u[: tm.cols, : tm.rows] @ self.w_r) @ self.w_r.T / self.size
+            affine_gain = self.f @ (u[: self.d_dec.rank, : tm.rows] @ self.w_r) @ self.w_r.T / self.size
             affine_offset = (np.eye(tm.cols) - affine_gain @ tm.entries) @ (null_d @ self.mean)
         if not (np.isfinite(affine_gain).all() and np.isfinite(affine_offset).all()):
             raise InvalidInput("the split is not finite: D^(1/2) S^+ or its offset overflows")
@@ -183,12 +188,12 @@ class _Whitening:
         return Decomposition(m_map, affine_gain, affine_offset, self.scale)
 
     def lift(self, observed, strict: bool) -> np.ndarray:
-        # mu + D^(1/2) S^+ (observed - T mu); see lift_observation.
+        # mu + F V_r (Sigma_r c)^(-1) W_r^T (observed - T mu), failing closed where it overflows.
         tm, r, n = self.tm, self.rank, self.tm.cols
         obs = _observed(tm, observed)
-        shift = obs - tm.entries @ self.mean
-        coef = (self.w_r.T @ shift) / (self.sv[:r] * self.size)
-        state = self.mean + self.root @ (self.vt[:r, :n].T @ coef)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = (self.w_r.T @ (obs - tm.entries @ self.mean)) / (self.sv[:r] * self.size)
+            state = self.mean + self.f @ (self.v[:, :r] @ coef)
         if not np.isfinite(state).all():
             raise InvalidInput("conditional mean is not finite: T mu or the lift overflows")
         if strict:
@@ -214,8 +219,8 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
     The gain is D^(1/2) P D^(-1/2) with P the projector onto the row space
     of S = T D^(1/2); the conditional covariance is D^(1/2) (I - P) D^(1/2).
     A zero T returns the prior itself; a full-rank square T collapses the
-    covariance to exact zeros: the rank of G is rank D - rank S, and the PSD
-    clamp zeroes the rest. A repeat call on one (law, T) returns the same law.
+    covariance to exact zeros: G is read off a factor of rank D - rank S, and its
+    other eigenvalues are exact zeros. A repeat call on one (law, T) returns the same law.
     """
     return _whiten(g, t, rank_tol_scale).law
 
@@ -257,12 +262,12 @@ def decompose(g: Gaussian, t, rank_tol_scale: float | None = None) -> Decomposit
 
     M = D^(1/2) P_null(S) D^(-1/2) satisfies T D M^T = 0, which for jointly
     normal vectors is exactly independence of M Y and T Y. The affine part
-    reproduces Y - M Y from the value of T Y alone. S (m x n), divided by
-    its largest entry c, is zero-padded to a square k x k map,
-    k = max(m, n), whose invertible left factor U has
-    U[:n, :m] S / c = P_row(S); the gain is A = D^(1/2) U[:n, :m] / c
+    reproduces Y - M Y from the value of T Y alone. S_r = T F (m x rank D,
+    F = Q_r Lambda_r^(1/2)), divided by its largest entry c, is zero-padded to
+    a square k x k map, k = max(m, n), whose invertible left factor U has
+    U[:r, :m] S_r / c = P_row(S_r), r = rank D; the gain is A = F U[:r, :m] / c
     restricted to range(S). U and range(S) come from the record's one SVD of
-    S / c, and M = P_range(D) - K from the law's gain K on the same record,
+    S_r / c, and M = P_range(D) - K from the law's gain K on the same record,
     so M and A share one rank decision. A split that is not finite raises.
     """
     return _whiten(g, t, rank_tol_scale).decomposition

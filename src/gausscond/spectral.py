@@ -158,22 +158,22 @@ class LinearMap:
         return np.linalg.svd(self.entries, full_matrices=False)
 
 
-def _zero_padded(a: np.ndarray) -> LinearMap:
-    """The m x n matrix a, zero-padded to a square k x k map, k = max(m, n).
+def _zero_padded(a: np.ndarray, size: int = 0) -> LinearMap:
+    """The m x n matrix a, zero-padded to a square k x k map, k = max(m, n, size).
 
     One full SVD W Sigma V^T of a at its own shape gives the padded map's
     SVD by identity completion: W (+) I_{k-m}, sigma followed by
     k - min(m, n) exact zeros, and V^T (+) I_{k-n}. It is held where
     LinearMap.svd caches, so every reader of the padded map shares it.
-    A 0-row a is the zero map, with identity singular vectors.
+    An empty a is the zero map, with identity singular vectors.
     """
     m, n = a.shape
-    k = max(m, n)
+    k = max(m, n, size)
     entries = np.zeros((k, k))
     entries[:m, :n] = a
     tm = LinearMap(entries)
     w, sv, vt = np.eye(k), np.zeros(k), np.eye(k)
-    if m:
+    if a.size:
         w[:m, :m], sv[: min(m, n)], vt[:n, :n] = np.linalg.svd(a, full_matrices=True)
     tm.__dict__["svd"] = (w, sv, vt)
     return tm
@@ -352,24 +352,29 @@ def _psd_decomposition(a, rank_tol_scale: float | None, what: str = "operator", 
     return dec
 
 
+def _from_eigenpairs(vals: np.ndarray, vecs: np.ndarray) -> SymOperator:
+    # The one build of an operator from eigenpairs (vals descending): V diag(vals) V^T, its vectors and
+    # its pairs on the rebuilt entries certified, and its cache seeded, so it is never factored.
+    _certify_orthonormal(vecs)
+    op = SymOperator(_outer(vecs, vals))
+    _certify_residual(op.entries, vals, vecs)
+    op._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _eig_cut(vals, vecs, None)
+    return op
+
+
 def _psd_clamped(
-    entries: np.ndarray, rank_tol_scale: float | None, ref: float = 0.0, rank: int | None = None
+    a, rank_tol_scale: float | None, ref: float = 0.0, rank: int | None = None
 ) -> SymOperator:
-    # The one PSD clamp of a computed covariance. The gate raises below the roundoff
-    # band of products of size ref. The eigenvalues past rank, known from the factors
-    # of the matrix, and negative ones become exact zeros; no band zeroes a positive one,
-    # which may be exact. Unclamped entries stay untouched; a clamped operator carries
-    # the gate's eigenvectors with its values, certified on its entries, never refactored.
-    op = SymOperator(entries)
+    # The one PSD clamp of a computed covariance, given as entries or as an operator carrying
+    # certified eigenpairs, whose gate then solves nothing. The gate raises below the roundoff
+    # band of products of size ref. The eigenvalues past rank, known from the matrix's factors,
+    # and negative ones become exact zeros; no band zeroes a positive one, which may be exact.
+    # An unclamped operator is returned untouched; a clamped one carries the gate's eigenvectors.
+    op = as_sym_operator(a)
     dec = _psd_decomposition(op, rank_tol_scale, "matrix", ref)
     keep = np.arange(op.dim) < (op.dim if rank is None else rank)
     vals = np.where(keep, np.maximum(dec.eigenvalues, 0.0), 0.0)
-    if np.array_equal(vals, dec.eigenvalues):
-        return op
-    clamped = SymOperator(_outer(dec.eigenvectors, vals))
-    _certify_residual(clamped.entries, vals, dec.eigenvectors)
-    clamped._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _eig_cut(vals, dec.eigenvectors, None)
-    return clamped
+    return op if np.array_equal(vals, dec.eigenvalues) else _from_eigenpairs(vals, dec.eigenvectors)
 
 
 def sqrt_psd(a, rank_tol_scale: float | None = None) -> SymOperator:

@@ -333,11 +333,13 @@ class TestWhitening:
         state = lift_observation(g, t, t @ sample(g, 1, 0, rank_tol_scale)[0], rank_tol_scale)
         sample(evaluate(law, state), 1, 0, rank_tol_scale)
         decompose(g, t, rank_tol_scale)
-        # eigh: the law's PSD gate and the conditional covariance's clamp; the
-        # gate of evaluate's result and the sample read the eigensolve the clamp
-        # carries, and any other scale re-cuts the eigenpairs it already holds.
-        # svd: S at its own shape, which is also the padded S's SVD.
-        assert factorizations == {"svd": 1, "eigh": 2}
+        # eigh: the law's PSD gate only. The conditional covariance carries the
+        # eigenpairs read off its core, which the gate of evaluate's result and the
+        # sample read, and any other scale re-cuts the eigenpairs it already holds.
+        # svd: S_r = T F (m x rank D) at its own shape, which is also the padded
+        # S_r's SVD, and the core Lambda_r^(1/2) V_perp (rank D x (rank D - rank S)).
+        assert factorizations == {"svd": 2, "eigh": 1}
+        assert sorted(factorizations.shapes) == [("eigh", (64, 64)), ("svd", (32, 48)), ("svd", (48, 16))]
 
     def test_repeat_calls_factor_nothing(self, factorizations):
         rng = np.random.default_rng(65)
@@ -390,7 +392,8 @@ class TestWhitening:
         assert maxabs(condition(g, t).cov.entries) == 0.0
         assert np.array_equal(condition(g, t, 1e4).cov.entries, np.diag([0.0, 1.0]))
         assert maxabs(condition(g, t).cov.entries) == 0.0
-        assert factorizations["svd"] == 3
+        # Three records, each with the SVD of S_r and of the law's core.
+        assert factorizations["svd"] == 6
         _same_results(g, t, _fresh(g), t, 1e4)
 
     def test_slot_holds_one_map(self, factorizations):
@@ -399,13 +402,15 @@ class TestWhitening:
         t1, t2 = random_map(rng, 2, 5, 2), random_map(rng, 3, 5, 2)
         for t in (t1, t2, t1, t1):
             condition(g, t)
-        assert factorizations["svd"] == 3
+        # Three records, each with the SVD of S_r and of the law's core.
+        assert factorizations["svd"] == 6
         _same_results(g, t1, _fresh(g), t1)
         _same_results(g, t2, _fresh(g), t2)
 
     def test_every_map_form_factors_once_and_agrees(self, factorizations):
         # Each form as_linear_map accepts keys the slot by the entries it reads,
-        # so each makes one SVD and every array of the 2-D array form.
+        # so each makes the SVDs of S_r and of the law's core, and every array of
+        # the 2-D array form.
         rng = np.random.default_rng(67)
         g = random_gaussian(rng, 5, 4)
         t, q = random_map(rng, 3, 5, 2), random_orthogonal(rng, 5)[:, :2]
@@ -417,7 +422,7 @@ class TestWhitening:
             ref = _chain(_fresh(g), array, obs)
             before = factorizations["svd"]
             got = _chain(_fresh(g), form, obs)
-            assert factorizations["svd"] - before == 1, type(form)
+            assert factorizations["svd"] - before == 2, type(form)
             for a, b in zip(got, ref):
                 assert np.array_equal(a, b), type(form)
 
@@ -539,3 +544,35 @@ class TestChainRule:
                 assert maxabs(chained.mean - joint.mean) <= 1e-9 * mean_size
                 assert maxabs(chained.cov.entries - joint.cov.entries) <= 1e-9 * maxabs(g.cov.entries)
                 assert chained.cov.decomposition().rank == rank
+
+
+def _backward_error(g, t) -> float:
+    # The paper's two properties as the law's normwise residuals (Frobenius):
+    # (I - K) D T^T = 0, G = (I - K) D and T G = 0, each in units of ||D|| ||T||
+    # or ||D||; a zero D or T makes no unit, so its term is left out.
+    law, d = condition(g, t), g.cov.entries
+    nd, nt = np.linalg.norm(d), np.linalg.norm(t)
+    if not nd:
+        return 0.0
+    residual = np.eye(g.dim) - law.gain
+    r = np.linalg.norm(law.cov.entries - residual @ d) / nd
+    if nt:
+        r = max(r, np.linalg.norm(residual @ d @ t.T) / (nd * nt),
+                np.linalg.norm(t @ law.cov.entries) / (nd * nt))
+    return float(r)
+
+
+class TestBackwardError:
+    """The returned law meets the paper's two properties to a stated multiple of n eps."""
+
+    @pytest.mark.parametrize(
+        "generator, bound",
+        ((random_conditioning_instance, 10.0), (_graded(1e4), 10.0), (_graded(1e8), 10.0),
+         (_graded(1e12), 1000.0)),
+        ids=("plain", "graded-1e4", "graded-1e8", "graded-1e12"),
+    )
+    def test_law_residuals_are_rounding(self, generator, bound):
+        for seed in range(300):
+            g, t = generator(np.random.default_rng(seed))
+            if t.shape[0]:
+                assert _backward_error(g, t) <= bound * g.dim * np.finfo(float).eps, seed

@@ -22,6 +22,7 @@ from gausscond.spectral import (
     EIG_RESIDUAL_TOL,
     ORTHONORMALITY_TOL,
     SymOperator,
+    _from_eigenpairs,
     eig_sym,
     frob,
     maxabs,
@@ -177,6 +178,35 @@ class TestPsdClamp:
         assert calls == [1]
         assert fresh.rank == dec.rank == 3
         assert maxabs(fresh.eigenvalues - vals) <= 1e-12 * 3.0
+
+    @staticmethod
+    def _eigh_calls(monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(1) or eigh(a, *args))
+        return calls
+
+    def test_operator_with_nothing_past_rank_is_returned_unsolved(self, monkeypatch):
+        # The gate reads the seeded spectrum at any scale, and nothing needs a clamp.
+        q = random_orthogonal(np.random.default_rng(10), 5)
+        op = _from_eigenpairs(np.array([3.0, 1.0, 0.5, 0.0, 0.0]), q)
+        calls = self._eigh_calls(monkeypatch)
+        for scale in (None, 1e3):
+            assert _psd_clamped(op, scale, 0.0, 3) is op
+        assert calls == []
+
+    def test_seeded_spectrum_below_the_band_is_not_positive(self, monkeypatch):
+        q = random_orthogonal(np.random.default_rng(11), 5)
+        op = _from_eigenpairs(np.array([3.0, 1.0, 0.5, 0.0, -1e-3]), q)
+        calls = self._eigh_calls(monkeypatch)
+        with pytest.raises(NotPositive, match="eigenvalue -1.000e-03"):
+            _psd_clamped(op, None, 0.0, 3)
+        assert calls == []
+
+    def test_vectors_are_certified_when_an_operator_is_built(self):
+        # Vectors 10% long would rebuild entries whose eigenvalues are not the given ones.
+        q = random_orthogonal(np.random.default_rng(12), 4)
+        with pytest.raises(InvalidInput, match="lost orthonormality"):
+            _from_eigenpairs(np.array([2.0, 1.0, 0.0, 0.0]), q * 1.1)
 
 
 class TestIndependence:

@@ -271,12 +271,11 @@ def test_covariance_near_the_float_limit_is_rejected_cleanly(tmp_path):
     assert main(["condition", *paths]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("strict", (False, True))
 def test_lift_that_overflows_is_rejected(strict):
-    # T mu = 1e320 overflows (numpy warns), so the computed lift is NaN though the
-    # exact one is (0, 0): no mode may return it, and no NaN residual may pass the
-    # strict check.
+    # T mu = 1e320 overflows, so the computed lift is NaN though the exact one is
+    # (0, 0): no mode may return it, none may warn on the way, and no NaN residual
+    # may pass the strict check.
     g = _law([1e160, 0.0], np.eye(2))
     with pytest.raises(InvalidInput, match="not finite"):
         lift_observation(g, [[1e160, 0.0]], [0.0], strict=strict)
@@ -309,6 +308,15 @@ def test_cli_decompose_that_overflows_exits_2(tmp_path, capsys, seed):
     p = _files(tmp_path, model={"mean": g.mean.tolist(), "cov": g.cov.entries.tolist()},
                t=(t * 1e-300).tolist())
     assert main(["decompose", p["model"], p["t"]]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_lift_that_overflows_exits_2(tmp_path, capsys):
+    # T mu overflows: exit 2 and no output, with no RuntimeWarning on the way,
+    # which the suite's error::RuntimeWarning filter would turn into a traceback.
+    p = _files(tmp_path, model={"mean": [1e160, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+               t=[[1e160, 0.0]], obs=[0.0])
+    assert main(["condition", p["model"], p["t"], p["obs"]]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -117,8 +117,7 @@ class TestEigSym:
     )
     def test_lost_orthonormality_rejected(self, solve, monkeypatch):
         # Eigenvectors returned 10% long fail the Gram certificate, also on
-        # the way to the PSD clamp, which checks only the residual of the
-        # clamped operator's eigenpairs.
+        # the way to the PSD clamp.
         eigh = np.linalg.eigh
 
         def scaled(a, *args):
