@@ -40,6 +40,7 @@ from .spectral import (
     LinearMap,
     Projector,
     SymOperator,
+    _eig_cut,
     _from_eigenpairs,
     _map_entries,
     _resolve_rank_tol_scale,
@@ -128,12 +129,15 @@ class _Whitening:
     cuts it and reads its factors: range(S) = W_r, cut by the map rank rule with floor
     ||T|| ||D^(1/2)|| / c, sets rank S for the gain K = (F V_r)(Q_r Lambda_r^(-1/2) V_r)^T,
     formed when it is built, and for the lift, the law (G = B B^T, B = F V_perp) and the
-    Decomposition (M = P_range(D) - K), formed on first use. It holds the prior mean, not
-    the Gaussian, so it makes no reference cycle.
+    Decomposition (M = P_range(D) - K), formed on first use. An empty S_r (m = 0 or
+    rank D = 0) has rank 0 unfactored. Where rank S = 0 the law is the prior, the lift is mu
+    and the split is (P_range(D), 0, P_null(D) mu); where rank S = rank D, G is exact zeros
+    on D's eigenvectors: neither factors the core or forms U. It holds the prior mean and
+    covariance, not the Gaussian, so it makes no reference cycle.
     """
 
     def __init__(self, g: Gaussian, tm: LinearMap, scale: float):
-        self.mean, self.tm, self.scale = g.mean, tm, scale
+        self.mean, self.prior_cov, self.tm, self.scale = g.mean, g.cov, tm, scale
         dec = self.d_dec = g.cov.decomposition(scale)
         q_r, self.root_vals = dec.eigenvectors[:, : dec.rank], np.sqrt(dec.eigenvalues[: dec.rank])
         self.f = q_r * self.root_vals
@@ -144,43 +148,58 @@ class _Whitening:
         self.size = maxabs(s) or 1.0
         self.root_norm = frob(self.root_vals)
         self.floor = frob(tm.entries) * self.root_norm / self.size
-        self.padded = _zero_padded(s / self.size, tm.cols)
-        self.w_r = orthonormal_columns(self.padded, scale, self.floor)[: tm.rows]
-        self.rank = self.w_r.shape[1]
-        _, self.sv, vt = self.padded.svd
-        self.v = vt[: dec.rank, : dec.rank].T
+        # An empty S_r (m = 0 or rank D = 0) has rank 0 unfactored: V = I_(rank D), K = 0.
+        self.rank, self.v = 0, np.eye(dec.rank)
+        if s.size:
+            self.padded = _zero_padded(s / self.size, tm.cols)
+            self.w_r = orthonormal_columns(self.padded, scale, self.floor)[: tm.rows]
+            self.rank = self.w_r.shape[1]
+            _, self.sv, vt = self.padded.svd
+            self.v = vt[: dec.rank, : dec.rank].T
         v_r = self.v[:, : self.rank]
         self.gain = (self.f @ v_r) @ ((q_r / self.root_vals) @ v_r).T
 
     @cached_property
     def law(self) -> ConditionalLaw:
-        # The roundoff floor of G; past the float limit no tolerance can be stated.
-        if not math.isfinite(ref := self.root_norm * self.root_norm):
-            raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
-        # G = Q_r C C^T Q_r^T for the core C = Lambda_r^(1/2) V_perp = U_C Sigma_C Z_C^T: its
-        # eigenvectors are Q_r U_C and null(D)'s, its eigenvalues Sigma_C^2 and then exact zeros.
         q, r_d, kept = self.d_dec.eigenvectors, self.d_dec.rank, self.d_dec.rank - self.rank
-        u_c, s_c, _ = np.linalg.svd(self.root_vals[:, None] * self.v[:, self.rank :])
-        vals = np.concatenate([s_c * s_c, np.zeros(self.tm.cols - kept)])
-        vecs = np.concatenate([q[:, :r_d] @ u_c, q[:, r_d:]], axis=1)
-        cov = _psd_clamped(_from_eigenpairs(vals, vecs), self.scale, ref, kept)
+        if not self.rank:
+            # S observes nothing: G is D itself, whose gate has certified it.
+            cov = self.prior_cov
+        elif not kept:
+            # S observes all of range(D): G is exact zeros on D's certified eigenvectors.
+            cov = SymOperator(np.zeros((self.tm.cols, self.tm.cols)))
+            cov._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _eig_cut(np.zeros(self.tm.cols), q, None)
+        # The roundoff floor of G; past the float limit no tolerance can be stated.
+        elif not math.isfinite(ref := self.root_norm * self.root_norm):
+            raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
+        else:
+            # G = Q_r C C^T Q_r^T for the core C = Lambda_r^(1/2) V_perp = U_C Sigma_C Z_C^T: its
+            # eigenvectors are Q_r U_C and null(D)'s, its eigenvalues Sigma_C^2 and then exact zeros.
+            u_c, s_c, _ = np.linalg.svd(self.root_vals[:, None] * self.v[:, self.rank :])
+            vals = np.concatenate([s_c * s_c, np.zeros(self.tm.cols - kept)])
+            vecs = np.concatenate([q[:, :r_d] @ u_c, q[:, r_d:]], axis=1)
+            cov = _psd_clamped(_from_eigenpairs(vals, vecs), self.scale, ref, kept)
         return ConditionalLaw(self.mean, self.gain, cov, self.d_dec.null_projector, self.scale)
 
     @cached_property
     def decomposition(self) -> Decomposition:
-        tm = self.tm
-        u = invertible_left_factor(self.padded, self.scale, self.floor)
-        null_d = self.d_dec.null_projector.entries
-        # On the support of the prior, Y - E[Y | T Y] = (P_range(D) - K)(Y - mu).
-        m_map = (np.eye(tm.cols) - null_d) - self.gain
+        tm, null_d = self.tm, self.d_dec.null_projector.entries
+        # On the support of the prior, Y - E[Y | T Y] = (P_range(D) - K)(Y - mu). Where S
+        # observes nothing, K and A are exact zeros and the offset is P_null(D) mu: no U is formed.
+        m_map, affine_gain = np.eye(tm.cols) - null_d, np.zeros((tm.cols, tm.rows))
+        if self.rank:
+            u = invertible_left_factor(self.padded, self.scale, self.floor)
+            m_map = m_map - self.gain
         # T Y - T mu never leaves range(S) on the support of the prior. Off it, U
         # is an arbitrary map onto null(S) that would carry rounding in T Y,
         # scaled by the rows of T that read null(D), into the split; the gain
         # keeps U on range(S). The exact A overflows where S is tiny against
         # D^(1/2), the offset where mu nears the float limit: such a split fails closed.
         with np.errstate(over="ignore", invalid="ignore"):
-            affine_gain = self.f @ (u[: self.d_dec.rank, : tm.rows] @ self.w_r) @ self.w_r.T / self.size
-            affine_offset = (np.eye(tm.cols) - affine_gain @ tm.entries) @ (null_d @ self.mean)
+            affine_offset = null_d @ self.mean
+            if self.rank:
+                affine_gain = self.f @ (u[: self.d_dec.rank, : tm.rows] @ self.w_r) @ self.w_r.T / self.size
+                affine_offset = (np.eye(tm.cols) - affine_gain @ tm.entries) @ affine_offset
         if not (np.isfinite(affine_gain).all() and np.isfinite(affine_offset).all()):
             raise InvalidInput("the split is not finite: D^(1/2) S^+ or its offset overflows")
         for shared in (m_map, affine_gain, affine_offset):
@@ -191,9 +210,13 @@ class _Whitening:
         # mu + F V_r (Sigma_r c)^(-1) W_r^T (observed - T mu), failing closed where it overflows.
         tm, r, n = self.tm, self.rank, self.tm.cols
         obs = _observed(tm, observed)
-        with np.errstate(over="ignore", invalid="ignore"):
-            coef = (self.w_r.T @ (obs - tm.entries @ self.mean)) / (self.sv[:r] * self.size)
-            state = self.mean + self.f @ (self.v[:, :r] @ coef)
+        if not r:
+            # S observes nothing: the lift is mu itself.
+            coef, state = np.zeros(0), self.mean.copy()
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                coef = (self.w_r.T @ (obs - tm.entries @ self.mean)) / (self.sv[:r] * self.size)
+                state = self.mean + self.f @ (self.v[:, :r] @ coef)
         if not np.isfinite(state).all():
             raise InvalidInput("conditional mean is not finite: T mu or the lift overflows")
         if strict:
@@ -218,9 +241,11 @@ def condition(g: Gaussian, t, rank_tol_scale: float | None = None) -> Conditiona
 
     The gain is D^(1/2) P D^(-1/2) with P the projector onto the row space
     of S = T D^(1/2); the conditional covariance is D^(1/2) (I - P) D^(1/2).
-    A zero T returns the prior itself; a full-rank square T collapses the
-    covariance to exact zeros: G is read off a factor of rank D - rank S, and its
-    other eigenvalues are exact zeros. A repeat call on one (law, T) returns the same law.
+    A T whose S observes nothing (zero or empty T, zero D, rows that read only
+    null(D)) returns the prior's own covariance; one that observes all of range(D),
+    as a full-rank square T does, returns exact zeros. Otherwise G is read off a
+    factor of rank D - rank S, and its other eigenvalues are exact zeros. A repeat
+    call on one (law, T) returns the same law.
     """
     return _whiten(g, t, rank_tol_scale).law
 

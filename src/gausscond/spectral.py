@@ -353,10 +353,10 @@ def _psd_decomposition(a, rank_tol_scale: float | None, what: str = "operator", 
 
 
 def _from_eigenpairs(vals: np.ndarray, vecs: np.ndarray) -> SymOperator:
-    # The one build of an operator from eigenpairs (vals descending): V diag(vals) V^T, its vectors and
-    # its pairs on the rebuilt entries certified, and its cache seeded, so it is never factored.
+    # The one build of an operator from eigenpairs (vals descending): V diag(vals) V^T, which SymOperator
+    # symmetrizes, its vectors and pairs on the entries certified and its cache seeded: never factored.
     _certify_orthonormal(vecs)
-    op = SymOperator(_outer(vecs, vals))
+    op = SymOperator((vecs * vals) @ vecs.T)
     _certify_residual(op.entries, vals, vecs)
     op._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _eig_cut(vals, vecs, None)
     return op

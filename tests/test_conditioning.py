@@ -392,8 +392,9 @@ class TestWhitening:
         assert maxabs(condition(g, t).cov.entries) == 0.0
         assert np.array_equal(condition(g, t, 1e4).cov.entries, np.diag([0.0, 1.0]))
         assert maxabs(condition(g, t).cov.entries) == 0.0
-        # Three records, each with the SVD of S_r and of the law's core.
-        assert factorizations["svd"] == 6
+        # Three records, each with the SVD of S_r; only the 1e4 record's law, which
+        # does not observe all of range(D), factors its core.
+        assert factorizations["svd"] == 4
         _same_results(g, t, _fresh(g), t, 1e4)
 
     def test_slot_holds_one_map(self, factorizations):
@@ -449,6 +450,55 @@ class TestWhitening:
         assert calls == ["columns", "cut", "cut"]
 
 
+# Rank-2 D on R^3 with null(D) spanned by (1, 1, -1), and maps whose S = T D^(1/2)
+# observes nothing or all of range(D), with the SVDs their fresh chain makes: that
+# of S_r = T F where it is not empty, and never one of the law's core.
+SHORT_F = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+SHORT_PATHS = {
+    "no-rows": (SHORT_F @ SHORT_F.T, np.zeros((0, 3)), 0),
+    "zero-covariance": (np.zeros((3, 3)), np.eye(3)[:2], 0),
+    "null-of-d-only": (SHORT_F @ SHORT_F.T, np.array([[1.0, 1.0, -1.0]]), 1),
+    "all-of-range-d": (SHORT_F @ SHORT_F.T, np.eye(3)[:2], 1),
+}
+SHORT_MEAN = np.array([0.5, -1.5, 2.0])
+
+
+class TestShortPaths:
+    """S that observes nothing or all of range(D) is answered from the factors the record holds."""
+
+    @pytest.mark.parametrize("cov, t, svds", SHORT_PATHS.values(), ids=SHORT_PATHS)
+    def test_fresh_chain_factors_no_core(self, factorizations, cov, t, svds):
+        g = _law(SHORT_MEAN, cov)
+        law = condition(g, t)
+        evaluate(law, lift_observation(g, t, t @ sample(g, 1, 0)[0]))
+        decompose(g, t)
+        assert factorizations == {"svd": svds, "eigh": 1}
+
+    @pytest.mark.parametrize("name", ("no-rows", "zero-covariance", "null-of-d-only"))
+    def test_observing_nothing_returns_the_prior(self, name):
+        cov, t, _ = SHORT_PATHS[name]
+        g = _law(SHORT_MEAN, cov)
+        law, null_d = condition(g, t), g.cov.decomposition().null_projector.entries
+        assert law.cov is g.cov
+        assert np.array_equal(law.gain, np.zeros((3, 3)))
+        obs = t @ sample(g, 1, 0)[0]
+        assert np.array_equal(lift_observation(g, t, obs, strict=True), g.mean)
+        dec = decompose(g, t)
+        assert np.array_equal(dec.independent_map, np.eye(3) - null_d)
+        assert np.array_equal(dec.affine_gain, np.zeros((3, t.shape[0])))
+        assert np.array_equal(dec.affine_offset, null_d @ g.mean)
+
+    def test_observing_all_of_range_d_is_zeros_on_d_eigenvectors(self):
+        cov, t, _ = SHORT_PATHS["all-of-range-d"]
+        g = _law(SHORT_MEAN, cov)
+        law = condition(g, t)
+        assert np.array_equal(law.cov.entries, np.zeros((3, 3)))
+        for scale in (None, 1e4):
+            dec = law.cov.decomposition(scale)
+            assert dec.rank == 0 and np.array_equal(dec.eigenvalues, np.zeros(3))
+            assert dec.eigenvectors is g.cov.decomposition().eigenvectors
+
+
 def _chain(g, t, obs):
     # Every array of condition -> lift_observation -> evaluate -> decompose.
     law = condition(g, t)
@@ -478,7 +528,11 @@ def _graded(kappa):
 
 
 class TestConditionalRank:
-    """A conditional covariance has rank rank D - rank S, and its other eigenvalues are exact zeros."""
+    """A conditional covariance has rank rank D - rank S, and its other eigenvalues are exact zeros.
+
+    At rank S = 0 it is the prior's own covariance: eigenvalues of D below its cut
+    stay as the prior's gate admitted them.
+    """
 
     @pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
     def test_full_observation_is_an_exact_point_mass(self, s):

@@ -75,13 +75,14 @@ class TestPartialOut:
 
     def test_identity_check_reads_the_law_partial_out_read(self, factorizations):
         # The law given Z is built once: after partial_out, the identity check
-        # factors only the law given (X, Z), its S_r and its core, and solves no
-        # eigenproblem: the covariance carries the eigenpairs read off the core.
+        # factors only the law given (X, Z), its S_r, and solves no eigenproblem:
+        # (X, Z) observes all of range(D), so the covariance is exact zeros on
+        # D's eigenvectors and no core is factored.
         g = random_gaussian(np.random.default_rng(9), 5, 4)
         partial_out(g)
         before = dict(factorizations)
         partial_out_identity_check(g, sample(g, 1, 0)[0])
-        assert factorizations["svd"] - before["svd"] == 2
+        assert factorizations["svd"] - before["svd"] == 1
         assert factorizations["eigh"] - before["eigh"] == 0
 
     @given(st.integers(0, 10_000))

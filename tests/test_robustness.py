@@ -301,6 +301,14 @@ def test_split_whose_offset_overflows_fails_closed():
         decompose(_law([1e308] * 3, np.diag([1.0, 0.0, 0.0])), [[1.0, 3.0, 3.0]])
 
 
+@pytest.mark.parametrize("t", (np.zeros((0, 2)), np.zeros((1, 2))), ids=("no-rows", "zero-row"))
+def test_split_that_observes_nothing_and_overflows_fails_closed(t):
+    # rank S = 0, so the offset is P_null(D) mu alone, whose exact second entry is -2.04e308.
+    v = np.array([1.0, 0.5])
+    with pytest.raises(InvalidInput, match="split is not finite"):
+        decompose(_law([1.7e308, -1.7e308], np.outer(v, v)), t)
+
+
 @pytest.mark.parametrize("seed", (137, 205, 245))
 def test_cli_decompose_that_overflows_exits_2(tmp_path, capsys, seed):
     # Exit 2 and no output, rather than Infinity and NaN, which are not JSON.
