@@ -40,11 +40,11 @@ from .spectral import (
     LinearMap,
     Projector,
     SymOperator,
-    _eig_cut,
     _from_eigenpairs,
     _map_entries,
     _resolve_rank_tol_scale,
     _zero_padded,
+    _zeros_on,
     as_linear_map,
     frob,
     invertible_left_factor,
@@ -130,10 +130,10 @@ class _Whitening:
     ||T|| ||D^(1/2)|| / c, sets rank S for the gain K = (F V_r)(Q_r Lambda_r^(-1/2) V_r)^T,
     formed when it is built, and for the lift, the law (G = B B^T, B = F V_perp) and the
     Decomposition (M = P_range(D) - K), formed on first use. An empty S_r (m = 0 or
-    rank D = 0) has rank 0 unfactored. Where rank S = 0 the law is the prior, the lift is mu
-    and the split is (P_range(D), 0, P_null(D) mu); where rank S = rank D, G is exact zeros
-    on D's eigenvectors: neither factors the core or forms U. It holds the prior mean and
-    covariance, not the Gaussian, so it makes no reference cycle.
+    rank D = 0) is the zero map, whose SVD _zero_padded seeds without factoring. Where
+    rank S = 0 the law is the prior and the split is (P_range(D), 0, P_null(D) mu); where
+    rank S = rank D, G is exact zeros on D's eigenvectors: neither factors the core or forms
+    U. It holds the prior mean and covariance, not the Gaussian, so it makes no reference cycle.
     """
 
     def __init__(self, g: Gaussian, tm: LinearMap, scale: float):
@@ -148,14 +148,11 @@ class _Whitening:
         self.size = maxabs(s) or 1.0
         self.root_norm = frob(self.root_vals)
         self.floor = frob(tm.entries) * self.root_norm / self.size
-        # An empty S_r (m = 0 or rank D = 0) has rank 0 unfactored: V = I_(rank D), K = 0.
-        self.rank, self.v = 0, np.eye(dec.rank)
-        if s.size:
-            self.padded = _zero_padded(s / self.size, tm.cols)
-            self.w_r = orthonormal_columns(self.padded, scale, self.floor)[: tm.rows]
-            self.rank = self.w_r.shape[1]
-            _, self.sv, vt = self.padded.svd
-            self.v = vt[: dec.rank, : dec.rank].T
+        self.padded = _zero_padded(s / self.size, tm.cols)
+        self.w_r = orthonormal_columns(self.padded, scale, self.floor)[: tm.rows]
+        self.rank = self.w_r.shape[1]
+        _, self.sv, vt = self.padded.svd
+        self.v = vt[: dec.rank, : dec.rank].T
         v_r = self.v[:, : self.rank]
         self.gain = (self.f @ v_r) @ ((q_r / self.root_vals) @ v_r).T
 
@@ -167,8 +164,7 @@ class _Whitening:
             cov = self.prior_cov
         elif not kept:
             # S observes all of range(D): G is exact zeros on D's certified eigenvectors.
-            cov = SymOperator(np.zeros((self.tm.cols, self.tm.cols)))
-            cov._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _eig_cut(np.zeros(self.tm.cols), q, None)
+            cov = _zeros_on(q)
         # The roundoff floor of G; past the float limit no tolerance can be stated.
         elif not math.isfinite(ref := self.root_norm * self.root_norm):
             raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
@@ -210,18 +206,16 @@ class _Whitening:
         # mu + F V_r (Sigma_r c)^(-1) W_r^T (observed - T mu), failing closed where it overflows.
         tm, r, n = self.tm, self.rank, self.tm.cols
         obs = _observed(tm, observed)
-        if not r:
-            # S observes nothing: the lift is mu itself.
-            coef, state = np.zeros(0), self.mean.copy()
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                coef = (self.w_r.T @ (obs - tm.entries @ self.mean)) / (self.sv[:r] * self.size)
-                state = self.mean + self.f @ (self.v[:, :r] @ coef)
+        # Where S observes nothing (r = 0), coef is empty and the state is mu.
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = (self.w_r.T @ (obs - tm.entries @ self.mean)) / (self.sv[:r] * self.size)
+            state = self.mean + self.f @ (self.v[:, :r] @ coef)
+            residual = tm.entries @ state - obs if strict else None
         if not np.isfinite(state).all():
             raise InvalidInput("conditional mean is not finite: T mu or the lift overflows")
         if strict:
             ref = frob(tm.entries) * (frob(self.mean) + self.root_norm * frob(coef)) + frob(obs)
-            _consistent(tm.entries @ state - obs, frob(obs), ref, n, "observed value misses the attainable set")
+            _consistent(residual, frob(obs), ref, n, "observed value misses the attainable set")
         return state
 
 

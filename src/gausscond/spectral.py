@@ -362,6 +362,14 @@ def _from_eigenpairs(vals: np.ndarray, vecs: np.ndarray) -> SymOperator:
     return op
 
 
+def _zeros_on(vecs: np.ndarray) -> SymOperator:
+    # The exact zero operator on eigenvectors already certified, its cache seeded: the
+    # residual of exact zeros is exactly 0, so neither certificate is run again.
+    op = SymOperator(np.zeros((vecs.shape[0], vecs.shape[0])))
+    op._decomp_cache[DEFAULT_RANK_TOL_SCALE] = _eig_cut(np.zeros(vecs.shape[0]), vecs, None)
+    return op
+
+
 def _psd_clamped(
     a, rank_tol_scale: float | None, ref: float = 0.0, rank: int | None = None
 ) -> SymOperator:

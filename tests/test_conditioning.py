@@ -488,6 +488,23 @@ class TestShortPaths:
         assert np.array_equal(dec.affine_gain, np.zeros((3, t.shape[0])))
         assert np.array_equal(dec.affine_offset, null_d @ g.mean)
 
+    def test_observing_nothing_keeps_d_below_its_cut(self):
+        # At rank_tol_scale 1e4 the cut of D = diag(1, 1e-13, -1e-14) is 6.7e-12: G is
+        # D itself, so 1e-13 and the -1e-14 the gate admitted stay, unzeroed. A law
+        # evaluated from it and conditioned at the default scale, whose cut is 6.7e-14,
+        # counts 1e-13 as variance and observes it.
+        g = _law(SHORT_MEAN, np.diag([1.0, 1e-13, -1e-14]))
+        law = condition(g, np.zeros((1, 3)), 1e4)
+        assert law.cov is g.cov
+        dec = law.cov.decomposition(law.rank_tol_scale)
+        assert dec.rank == 1 and np.array_equal(dec.eigenvalues, [1.0, 1e-13, -1e-14])
+        h = evaluate(law, SHORT_MEAN)
+        assert h.cov is g.cov and h.cov.decomposition().rank == 2
+        then = condition(h, [[0.0, 1.0, 0.0]])
+        assert np.array_equal(then.gain, np.diag([0.0, 1.0, 0.0]))
+        assert np.array_equal(then.cov.entries, np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(condition(h, [[0.0, 1.0, 0.0]], 1e4).gain, np.zeros((3, 3)))
+
     def test_observing_all_of_range_d_is_zeros_on_d_eigenvectors(self):
         cov, t, _ = SHORT_PATHS["all-of-range-d"]
         g = _law(SHORT_MEAN, cov)

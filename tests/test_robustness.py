@@ -283,6 +283,15 @@ def test_lift_that_overflows_is_rejected(strict):
         _consistent(np.array([math.nan, 0.0]), 1.0, 1.0, 2, "NaN residual")
 
 
+def test_strict_lift_whose_residual_overflows_fails_closed():
+    # T reads only null(D), so rank S = 0 and the lift is mu, but T mu = 1e400
+    # overflows: the strict residual is not finite and the check refuses, with no
+    # RuntimeWarning on the way.
+    g = _law([1e200, 0.0], np.diag([0.0, 1.0]))
+    with pytest.raises(InvalidInput, match="too large to check"):
+        lift_observation(g, [[1e200, 0.0]], [0.0], strict=True)
+
+
 @pytest.mark.parametrize("seed", (137, 205, 245))
 def test_split_that_overflows_fails_closed(seed):
     # At T * 1e-300 the exact A = D^(1/2) S^+ overflows, while the law and the
