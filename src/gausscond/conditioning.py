@@ -33,13 +33,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimError, InconsistentObservation, InvalidInput
-from .gaussian import Gaussian, _map_on, _observed, _psd_clamped
+from .gaussian import Gaussian, _map_on, _psd_clamped
 from .spectral import (
     DEFAULT_RANK_TOL_SCALE,
     EPS,
     LinearMap,
     Projector,
     SymOperator,
+    _admit,
     _from_eigenpairs,
     _map_entries,
     _resolve_rank_tol_scale,
@@ -74,8 +75,7 @@ class ConditionalLaw:
     rank_tol_scale: float = DEFAULT_RANK_TOL_SCALE
 
     def __post_init__(self):
-        mu = np.array(self.prior_mean, dtype=float).reshape(-1)
-        k = np.array(self.gain, dtype=float)
+        mu, k = _admit(self.prior_mean, "prior_mean").copy(), _admit(self.gain, "gain", None).copy()
         if k.shape != (mu.size, mu.size):
             raise DimError(f"gain shape {k.shape} does not match dim {mu.size}")
         if self.cov.dim != mu.size or self.prior_null_projector.dim != mu.size:
@@ -174,7 +174,7 @@ class _Whitening:
             u_c, s_c, _ = np.linalg.svd(self.root_vals[:, None] * self.v[:, self.rank :])
             vals = np.concatenate([s_c * s_c, np.zeros(self.tm.cols - kept)])
             vecs = np.concatenate([q[:, :r_d] @ u_c, q[:, r_d:]], axis=1)
-            cov = _psd_clamped(_from_eigenpairs(vals, vecs), self.scale, ref, kept)
+            cov = _psd_clamped(_from_eigenpairs(vals, vecs), self.scale, ref)
         return ConditionalLaw(self.mean, self.gain, cov, self.d_dec.null_projector, self.scale)
 
     @cached_property
@@ -205,7 +205,7 @@ class _Whitening:
     def lift(self, observed, strict: bool) -> np.ndarray:
         # mu + F V_r (Sigma_r c)^(-1) W_r^T (observed - T mu), failing closed where it overflows.
         tm, r, n = self.tm, self.rank, self.tm.cols
-        obs = _observed(tm, observed)
+        obs = _admit(observed, "observation", 1, tm.rows, "the map outputs dim {}")
         # Where S observes nothing (r = 0), coef is empty and the state is mu.
         with np.errstate(over="ignore", invalid="ignore"):
             coef = (self.w_r.T @ (obs - tm.entries @ self.mean)) / (self.sv[:r] * self.size)
@@ -264,11 +264,7 @@ def evaluate(law: ConditionalLaw, y, check_support: bool = False) -> Gaussian:
     the rounding floor of ||y|| + ||prior_mean||, otherwise the state is
     impossible under the prior and InconsistentObservation is raised.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != law.dim:
-        raise DimError(f"state has dim {y.size} but the law lives on R^{law.dim}")
-    if not np.isfinite(y).all():
-        raise InvalidInput("state has non-finite entries")
+    y = _admit(y, "state", 1, law.dim, "the law lives on R^{}")
     shift = y - law.prior_mean
     if check_support:
         off, ref = law.prior_null_projector.entries @ shift, frob(y) + frob(law.prior_mean)
@@ -300,7 +296,9 @@ def endomorphism_reduction(t) -> LinearMap:
     transform an endomorphism of the state space.
     """
     tm = as_linear_map(t)
-    return LinearMap(tm.entries.T @ tm.entries)
+    # A product past the float limit fails LinearMap's admission.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return LinearMap(tm.entries.T @ tm.entries)
 
 
 def anova_check(g: Gaussian, t, rank_tol_scale: float | None = None) -> AnovaReport:

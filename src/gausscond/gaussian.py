@@ -15,6 +15,7 @@ build and equal to rounding across builds.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,6 +25,7 @@ from .errors import DimError, InvalidInput
 from .spectral import (
     LinearMap,
     SymOperator,
+    _admit,
     _psd_clamped,
     _psd_decomposition,
     as_linear_map,
@@ -51,16 +53,13 @@ class Gaussian:
     _whitening: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        mu = np.asarray(self.mean, dtype=float).reshape(-1)
+        mu = _admit(self.mean, "mean").copy()
         if mu.size < 1:
             raise InvalidInput("mean must have at least one coordinate")
-        if not np.isfinite(mu).all():
-            raise InvalidInput("mean has non-finite entries")
         cov = as_sym_operator(self.cov)
         if cov.dim != mu.size:
             raise DimError(f"mean has dim {mu.size} but cov has dim {cov.dim}")
         _psd_decomposition(cov, None, "covariance")
-        mu = mu.copy()
         mu.setflags(write=False)
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "cov", cov)
@@ -86,13 +85,12 @@ class JointGaussian:
     block_split: int
 
     def __post_init__(self):
-        mu = np.asarray(self.mean, dtype=float).reshape(-1)
+        mu = _admit(self.mean, "mean").copy()
         cov = as_sym_operator(self.cov)
         if cov.dim != mu.size:
             raise DimError(f"mean has dim {mu.size} but cov has dim {cov.dim}")
         if not 0 <= self.block_split <= mu.size:
             raise DimError(f"block_split {self.block_split} outside [0, {mu.size}]")
-        mu = mu.copy()
         mu.setflags(write=False)
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "cov", cov)
@@ -127,25 +125,13 @@ def _map_on(g: Gaussian, t) -> LinearMap:
     return tm
 
 
-def _observed(tm: LinearMap, y) -> np.ndarray:
-    # The one observation check: an observed value of T Y lives in R^m.
-    obs = np.asarray(y, dtype=float).reshape(-1)
-    if obs.size != tm.rows:
-        raise DimError(f"observation has dim {obs.size} but the map outputs dim {tm.rows}")
-    if not np.isfinite(obs).all():
-        raise InvalidInput("observation has non-finite entries")
-    return obs
-
-
 def char_fn(g: Gaussian, t) -> complex:
-    """Characteristic function exp(i <t, mu> - <t, D t>/2) at the point t."""
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if t.size != g.dim:
-        raise DimError(f"argument has dim {t.size} but the law lives on R^{g.dim}")
-    if not np.isfinite(t).all():
-        raise InvalidInput("argument has non-finite entries")
-    quad = float(t @ g.cov.entries @ t)
-    lin = float(t @ g.mean)
+    """Characteristic function exp(i <t, mu> - <t, D t>/2) at t: 0 where <t, D t> overflows."""
+    t = _admit(t, "argument", 1, g.dim, "the law lives on R^{}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad, lin = float(t @ g.cov.entries @ t), float(t @ g.mean)
+    if not (math.isfinite(lin) and (math.isfinite(quad) or quad == math.inf)):
+        raise InvalidInput("characteristic function is not finite: <t, mu> or <t, D t> overflows")
     return cmath.exp(complex(-0.5 * quad, lin))
 
 
@@ -154,9 +140,13 @@ def pushforward(g: Gaussian, s, rank_tol_scale: float | None = None) -> Gaussian
     sm = _map_on(g, s)
     if sm.rows < 1:
         raise DimError("map has an empty output space")
-    cov = sm.entries @ g.cov.entries @ sm.entries.T
-    ref = frob(sm.entries) ** 2 * frob(g.cov.entries)
-    return Gaussian(sm.entries @ g.mean, _psd_clamped(cov, rank_tol_scale, ref))
+    # S D S^T's roundoff floor must be finite; an S mu or S D S^T that overflows fails admission.
+    size = frob(sm.entries)
+    if not math.isfinite(ref := size * size * frob(g.cov.entries)):
+        raise InvalidInput("too large to push forward: ||S||_F^2 ||D||_F overflows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, cov = sm.entries @ g.mean, sm.entries @ g.cov.entries @ sm.entries.T
+    return Gaussian(mean, _psd_clamped(cov, rank_tol_scale, ref))
 
 
 def joint(g: Gaussian, s, t, rank_tol_scale: float | None = None) -> JointGaussian:
@@ -172,19 +162,21 @@ def joint(g: Gaussian, s, t, rank_tol_scale: float | None = None) -> JointGaussi
     if m + p < 1:
         raise DimError("both maps have empty output spaces")
     d = g.cov.entries
+    size = frob(sm.entries) + frob(tm.entries)
+    if not math.isfinite(ref := size * size * frob(d)):
+        raise InvalidInput("too large to form the joint law: (||S||_F + ||T||_F)^2 ||D||_F overflows")
     big = np.empty((m + p, m + p))
-    big[:m, m:] = sm.entries @ d @ tm.entries.T
-    big[m:, :m] = tm.entries @ d @ sm.entries.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        big[:m, m:] = sm.entries @ d @ tm.entries.T
+        big[m:, :m] = tm.entries @ d @ sm.entries.T
+        mean = np.concatenate([sm.entries @ g.mean, tm.entries @ g.mean])
     if m:
         big[:m, :m] = pushforward(g, sm, rank_tol_scale).cov.entries
     if p:
         big[m:, m:] = pushforward(g, tm, rank_tol_scale).cov.entries
     # SymOperator's average passes exactly symmetric diagonal blocks unchanged.
     op = SymOperator(big)
-    ref = (frob(sm.entries) + frob(tm.entries)) ** 2 * frob(d)
     _psd_decomposition(op, rank_tol_scale, "joint covariance", ref)
-
-    mean = np.concatenate([sm.entries @ g.mean, tm.entries @ g.mean])
     return JointGaussian(mean, op, m)
 
 
@@ -196,9 +188,11 @@ def independence_test(g: Gaussian, s, t) -> IndependenceResult:
     magnitude, compared against 1e-10 times (1 + ||S|| ||D|| ||T||).
     """
     sm, tm = _map_on(g, s), _map_on(g, t)
-    cross = sm.entries @ g.cov.entries @ tm.entries.T
-    residual = maxabs(cross)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = maxabs(sm.entries @ g.cov.entries @ tm.entries.T)
     limit = INDEPENDENCE_TOL * (1.0 + sm.norm() * g.cov.norm() * tm.norm())
+    if not (math.isfinite(residual) and math.isfinite(limit)):
+        raise InvalidInput("too large to test independence: S D T^T or its tolerance overflows")
     return IndependenceResult(residual <= limit, residual)
 
 

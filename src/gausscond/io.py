@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimError, InvalidInput, NotPositive
 from .gaussian import Gaussian
-from .spectral import SymOperator, _resolve_rank_tol_scale
+from .spectral import SymOperator, _admit, _resolve_rank_tol_scale
 
 
 def _load_json(path: str | Path):
@@ -30,14 +30,9 @@ def _load_json(path: str | Path):
 
 
 def _as_array(obj, path, field: str, ndim: int) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{path}: {field} is not numeric") from exc
+    arr = _admit(obj, f"{path}: {field}", None)
     if arr.ndim != ndim:
         raise InvalidInput(f"{path}: {field} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInput(f"{path}: {field} contains non-finite entries")
     return arr
 
 

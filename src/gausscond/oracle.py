@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewAccepted
-from .gaussian import Gaussian, _map_on, _observed, sample
-from .spectral import SymOperator
+from .gaussian import Gaussian, _map_on, sample
+from .spectral import SymOperator, _admit
 
 MIN_KEPT = 100
 
@@ -37,17 +37,19 @@ class OracleResult:
 def ginv_condition(g: Gaussian, a, y_obs, rank_tol_scale: float | None = None) -> OracleResult:
     """Classical generalized-inverse conditioning of Y ~ g on A Y = y_obs."""
     am = _map_on(g, a)
-    y = _observed(am, y_obs)
+    y = _admit(y_obs, "observation", 1, am.rows, "the map outputs dim {}")
     sigma = g.cov.entries
     if am.rows == 0:
         # Conditioning on nothing returns the prior.
         return OracleResult(g.mean.copy(), g.cov, "ginv")
-    mid = SymOperator(am.entries @ sigma @ am.entries.T)
-    pinv = mid.decomposition(rank_tol_scale).pinv_matrix()
-    gain = sigma @ am.entries.T @ pinv
-    mean = g.mean + gain @ (y - am.entries @ g.mean)
-    cov = sigma - gain @ am.entries @ sigma
-    return OracleResult(mean, SymOperator(cov), "ginv")
+    # A product past the float limit fails the admission of the operator or mean it forms.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = SymOperator(am.entries @ sigma @ am.entries.T)
+        pinv = mid.decomposition(rank_tol_scale).pinv_matrix()
+        gain = sigma @ am.entries.T @ pinv
+        mean = _admit(g.mean + gain @ (y - am.entries @ g.mean), "conditional mean")
+        cov = SymOperator(sigma - gain @ am.entries @ sigma)
+    return OracleResult(mean, cov, "ginv")
 
 
 def mc_conditional_moments(
@@ -67,7 +69,7 @@ def mc_conditional_moments(
     the estimate would be noise.
     """
     tm = _map_on(g, t)
-    y = _observed(tm, y_obs)
+    y = _admit(y_obs, "observation", 1, tm.rows, "the map outputs dim {}")
     rows = sample(g, n_samples, seed, rank_tol_scale)
     # A 0-row map leaves every distance 0, so every row is kept.
     dist = np.linalg.norm(rows @ tm.entries.T - y, axis=1)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimError, XInSubspace
 from .gaussian import Gaussian
-from .spectral import DEFAULT_RANK_TOL_SCALE, frob, orthonormal_columns
+from .spectral import DEFAULT_RANK_TOL_SCALE, _admit, frob, orthonormal_columns
 from .conditioning import condition, evaluate
 
 
@@ -77,7 +77,7 @@ def partial_out_identity_check(g: Gaussian, y_obs, rank_tol_scale: float | None 
     # The law given Z that partial_out read, kept on g's whitening.
     mean_z = evaluate(condition(g, _zeroing_map(g.dim, (0, 1)), rank_tol_scale), y_obs).mean
     mean_xz = evaluate(condition(g, _zeroing_map(g.dim, (1,)), rank_tol_scale), y_obs).mean
-    y = np.asarray(y_obs, dtype=float).reshape(-1)
+    y = _admit(y_obs, "state")
     lhs = float(mean_xz[1] - mean_z[1])
     rhs = res.coefficient * float(y[0] - mean_z[0])
     return abs(lhs - rhs)
@@ -91,12 +91,10 @@ def extended_projection_delta(v_basis, x, y) -> np.ndarray:
     Raises XInSubspace when x lies in span(V), where no new direction
     exists, i.e. when |x - P_V x| <= 1e-10 |x|.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size != y.size:
-        raise DimError(f"x has dim {x.size} but y has dim {y.size}")
-    basis = np.asarray(v_basis, dtype=float)
-    if basis.ndim == 1:
+    y = _admit(y, "y")
+    x = _admit(x, "x", 1, y.size, "y has dim {}")
+    basis = _admit(v_basis, "basis", None)
+    if basis.ndim < 2:
         basis = basis.reshape(-1, 1)
     elif basis.ndim == 2 and basis.shape[0] != x.size and basis.shape[1] == x.size:
         # Accept vectors given as rows; columns are the canonical layout.

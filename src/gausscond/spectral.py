@@ -63,7 +63,7 @@ def frob(a) -> float:
     Taken of a / max|a|, so squares neither overflow nor underflow; x.dot(x)
     is the sum np.linalg.norm forms, without its per-call dispatch.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
     if not (big := maxabs(a)):
         return 0.0
     x = (a / big).ravel(order="K")
@@ -71,16 +71,32 @@ def frob(a) -> float:
 
 
 def maxabs(a) -> float:
-    a = np.asarray(a, dtype=float)
-    return float(np.abs(a).max()) if a.size else 0.0
+    a = np.abs(a)
+    return float(a.max()) if a.size else 0.0
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    if out.ndim != 2:
-        raise InvalidInput(f"{name} must be a 2-d matrix, got ndim={out.ndim}")
+def _admit(a, what: str, ndim: int | None = 1, size: int | None = None, where: str = "") -> np.ndarray:
+    """The one admission rule for an array argument: real numbers, its shape, finite.
+
+    ndim=2 asks for a matrix; ndim=1 flattens a to a vector, of size entries if size is
+    given (where says what sets it, {} for size); ndim=None keeps a's shape. A fault
+    raises InvalidInput, a wrong size DimError; their text is formed only then.
+    """
+    try:
+        out = np.asarray(a)
+        if out.dtype.kind not in "biufO":
+            raise TypeError(out.dtype)
+        out = out.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{what} is not numeric") from exc
+    if ndim == 1:
+        out = out.reshape(-1)
+        if size is not None and out.size != size:
+            raise DimError(f"{what} has dim {out.size} but {where.format(size)}")
+    elif ndim == 2 and out.ndim != 2:
+        raise InvalidInput(f"{what} must be a 2-d matrix, got ndim={out.ndim}")
     if not np.isfinite(out).all():
-        raise InvalidInput(f"{name} has non-finite entries")
+        raise InvalidInput(f"{what} has non-finite entries")
     return out
 
 
@@ -98,7 +114,7 @@ class SymOperator:
     _decomp_cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        a = _as_matrix(self.entries, "SymOperator entries")
+        a = _admit(self.entries, "SymOperator entries", 2)
         if a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidInput(f"SymOperator must be square with dim >= 1, got shape {a.shape}")
         # Halves first, so finite entries near the float limit stay finite.
@@ -123,9 +139,7 @@ class SymOperator:
 def as_sym_operator(a) -> SymOperator:
     if isinstance(a, SymOperator):
         return a
-    if isinstance(a, Projector):
-        return SymOperator(a.entries)
-    return SymOperator(np.asarray(a, dtype=float))
+    return SymOperator(a.entries if isinstance(a, Projector) else a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +154,7 @@ class LinearMap:
     cols: int = field(init=False)
 
     def __post_init__(self):
-        a = _as_matrix(self.entries, "LinearMap entries")
+        a = _admit(self.entries, "LinearMap entries", 2)
         if a.shape[1] < 1:
             raise InvalidInput(f"LinearMap needs a domain of dim >= 1, got shape {a.shape}")
         a = a.copy()
@@ -180,10 +194,10 @@ def _zero_padded(a: np.ndarray, size: int = 0) -> LinearMap:
 
 
 def _map_entries(a) -> np.ndarray:
-    # The entries as_linear_map reads, before its copy and checks; a 1-d array is one row.
+    # The entries as_linear_map reads, admitted but not yet copied; a 1-d array is one row.
     if isinstance(a, (LinearMap, SymOperator, Projector)):
         return a.entries
-    arr = np.asarray(a, dtype=float)
+    arr = _admit(a, "LinearMap entries", None)
     return arr.reshape(1, -1) if arr.ndim == 1 else arr
 
 
@@ -204,7 +218,7 @@ class Projector:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        p = _as_matrix(self.entries, "Projector entries")
+        p = _admit(self.entries, "Projector entries", 2)
         if p.shape[0] != p.shape[1]:
             raise InvalidInput(f"Projector must be square, got shape {p.shape}")
         if maxabs(p - p.T) > PROJECTOR_SYM_TOL:
@@ -247,8 +261,9 @@ class SpectralDecomposition:
     rank_tolerance: float
 
     def __post_init__(self):
+        # A record of eigenpairs eig_sym has certified finite: frozen, not admitted again.
         for name in ("eigenvalues", "eigenvectors"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -370,18 +385,15 @@ def _zeros_on(vecs: np.ndarray) -> SymOperator:
     return op
 
 
-def _psd_clamped(
-    a, rank_tol_scale: float | None, ref: float = 0.0, rank: int | None = None
-) -> SymOperator:
+def _psd_clamped(a, rank_tol_scale: float | None, ref: float = 0.0) -> SymOperator:
     # The one PSD clamp of a computed covariance, given as entries or as an operator carrying
     # certified eigenpairs, whose gate then solves nothing. The gate raises below the roundoff
-    # band of products of size ref. The eigenvalues past rank, known from the matrix's factors,
-    # and negative ones become exact zeros; no band zeroes a positive one, which may be exact.
-    # An unclamped operator is returned untouched; a clamped one carries the gate's eigenvectors.
+    # band of products of size ref. Negative eigenvalues become exact zeros; no band zeroes a
+    # positive one, which may be exact. An unclamped operator is returned untouched; a clamped
+    # one carries the gate's eigenvectors.
     op = as_sym_operator(a)
     dec = _psd_decomposition(op, rank_tol_scale, "matrix", ref)
-    keep = np.arange(op.dim) < (op.dim if rank is None else rank)
-    vals = np.where(keep, np.maximum(dec.eigenvalues, 0.0), 0.0)
+    vals = np.maximum(dec.eigenvalues, 0.0)
     return op if np.array_equal(vals, dec.eigenvalues) else _from_eigenpairs(vals, dec.eigenvectors)
 
 
@@ -434,8 +446,8 @@ def orthonormal_columns(
     its span and its size. A LinearMap is read through its cached SVD.
     """
     tm = candidates if isinstance(candidates, LinearMap) else None
-    c = tm.entries if tm is not None else np.asarray(candidates, dtype=float)
-    if c.ndim == 2 and min(c.shape) == 0:
+    c = tm.entries if tm is not None else _admit(candidates, "LinearMap entries", 2)
+    if min(c.shape) == 0:
         return np.zeros((c.shape[0], 0))
     w, _, _, rank = _map_svd(tm if tm is not None else LinearMap(c), rank_tol_scale, ref)
     return w[:, :rank]
@@ -451,7 +463,7 @@ def _map_svd(tm: LinearMap, rank_tol_scale: float | None, ref: float = 0.0):
 
 def lu_min_pivot(a) -> float:
     """Smallest absolute pivot met during a partial-pivoting LU factorization."""
-    m = np.asarray(a, dtype=float).copy()
+    m = _admit(a, "lu_min_pivot's matrix", None).copy()
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput("lu_min_pivot expects a square matrix")
     n = m.shape[0]

@@ -191,7 +191,7 @@ class TestPsdClamp:
         op = _from_eigenpairs(np.array([3.0, 1.0, 0.5, 0.0, 0.0]), q)
         calls = self._eigh_calls(monkeypatch)
         for scale in (None, 1e3):
-            assert _psd_clamped(op, scale, 0.0, 3) is op
+            assert _psd_clamped(op, scale, 0.0) is op
         assert calls == []
 
     def test_seeded_spectrum_below_the_band_is_not_positive(self, monkeypatch):
@@ -199,7 +199,7 @@ class TestPsdClamp:
         op = _from_eigenpairs(np.array([3.0, 1.0, 0.5, 0.0, -1e-3]), q)
         calls = self._eigh_calls(monkeypatch)
         with pytest.raises(NotPositive, match="eigenvalue -1.000e-03"):
-            _psd_clamped(op, None, 0.0, 3)
+            _psd_clamped(op, None, 0.0)
         assert calls == []
 
     def test_vectors_are_certified_when_an_operator_is_built(self):

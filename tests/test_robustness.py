@@ -7,13 +7,14 @@ map whose singular values clear that cut: small ones, rescaled rows, and
 entries near the ends of the floating-point range; and a row of T that
 leaves only rounding noise in S must count as no observation. Each test
 here checks a closed form or an invariance of the law, not a second
-formula. Inputs that no finite law answers (a non-finite scale,
-observation or state, a non-finite map or operator entry, a negative seed,
-no trials) raise InvalidInput at the library call and exit 2 at the CLI.
+formula. Inputs that no finite law answers (a non-finite scale, an array
+argument that is not finite, is text or is ragged, a negative seed, no
+trials) raise InvalidInput at the library call and exit 2 at the CLI.
 """
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,18 +34,33 @@ from gausscond.checks import (
 )
 from gausscond.cli import main
 from gausscond.conditioning import (
+    ConditionalLaw,
     _consistent,
     anova_check,
     condition,
     decompose,
+    endomorphism_reduction,
     evaluate,
     lift_observation,
 )
-from gausscond.errors import InconsistentObservation, InvalidInput
-from gausscond.gaussian import Gaussian, sample
-from gausscond.io import load_model
-from gausscond.oracle import ginv_condition
-from gausscond.spectral import SymOperator, frob, maxabs
+from gausscond.errors import DimError, InconsistentObservation, InvalidInput
+from gausscond.gaussian import Gaussian, JointGaussian, char_fn, independence_test, joint, pushforward, sample
+from gausscond.io import load_matrix, load_model, load_vector
+from gausscond.oracle import ginv_condition, mc_conditional_moments
+from gausscond.regression import extended_projection_delta, partial_out_identity_check
+from gausscond.spectral import (
+    LinearMap,
+    Projector,
+    SymOperator,
+    eig_sym,
+    frob,
+    invertible_left_factor,
+    lu_min_pivot,
+    maxabs,
+    orthonormal_columns,
+    row_space_projector,
+    sqrt_psd,
+)
 
 
 def _law(mean, cov):
@@ -408,6 +424,110 @@ def test_non_finite_map_or_operator_from_a_library_call_is_rejected(bad):
     for call in (lambda: condition(g, [[bad, 0.0]]), lambda: SymOperator([[bad]])):
         with pytest.raises(InvalidInput, match="non-finite entries"):
             call()
+
+
+_G = _law(BIVARIATE["mean"], BIVARIATE["cov"])
+_T = np.array([[1.0, 0.0]])
+_LAW = condition(_G, _T)
+_G3 = _law([0.0, 0.0, 0.0], np.eye(3))
+
+
+def _from_file(tmp_path, loader, obj):
+    path = tmp_path / "arg.json"
+    path.write_text(json.dumps(obj))
+    return loader(str(path))
+
+
+# (entry point, a valid argument, the call with that argument replaced, and for a
+# sized vector the DimError message of one entry too many).
+ADMITTED = (
+    ("SymOperator", [[1.0, 0.0], [0.0, 1.0]], lambda a: SymOperator(a), None),
+    ("LinearMap", [[1.0, 0.0]], lambda a: LinearMap(a), None),
+    ("Projector", [[1.0, 0.0], [0.0, 0.0]], lambda a: Projector(a, 1), None),
+    ("Gaussian.mean", [0.0, 0.0], lambda a: Gaussian(a, SymOperator(np.eye(2))),
+     "mean has dim 3 but cov has dim 2"),
+    ("Gaussian.cov", [[1.0, 0.0], [0.0, 1.0]], lambda a: Gaussian([0.0, 0.0], a), None),
+    ("JointGaussian.mean", [0.0, 0.0], lambda a: JointGaussian(a, SymOperator(np.eye(2)), 1),
+     "mean has dim 3 but cov has dim 2"),
+    ("ConditionalLaw.prior_mean", [0.0, 0.0],
+     lambda a: ConditionalLaw(a, _LAW.gain, _LAW.cov, _LAW.prior_null_projector), None),
+    ("ConditionalLaw.gain", [[1.0, 0.0], [0.5, 0.0]],
+     lambda a: ConditionalLaw(_LAW.prior_mean, a, _LAW.cov, _LAW.prior_null_projector), None),
+    ("condition", [[1.0, 0.0]], lambda a: condition(_G, a), None),
+    ("decompose", [[1.0, 0.0]], lambda a: decompose(_G, a), None),
+    ("pushforward", [[1.0, 0.0]], lambda a: pushforward(_G, a), None),
+    ("joint", [[1.0, 0.0]], lambda a: joint(_G, a, _T), None),
+    ("independence_test", [[1.0, 0.0]], lambda a: independence_test(_G, _T, a), None),
+    ("lift_observation", [0.5], lambda a: lift_observation(_G, _T, a),
+     "observation has dim 2 but the map outputs dim 1"),
+    ("lift_observation.strict", [0.5], lambda a: lift_observation(_G, _T, a, strict=True),
+     "observation has dim 2 but the map outputs dim 1"),
+    ("evaluate", [0.5, 0.0], lambda a: evaluate(_LAW, a), "state has dim 3 but the law lives on R^2"),
+    ("char_fn", [1.0, 0.0], lambda a: char_fn(_G, a), "argument has dim 3 but the law lives on R^2"),
+    ("ginv_condition", [0.5], lambda a: ginv_condition(_G, _T, a),
+     "observation has dim 2 but the map outputs dim 1"),
+    ("mc_conditional_moments", [0.5], lambda a: mc_conditional_moments(_G, _T, a, 200, 10.0, 0),
+     "observation has dim 2 but the map outputs dim 1"),
+    ("eig_sym", [[2.0, 0.0], [0.0, 1.0]], lambda a: eig_sym(a), None),
+    ("sqrt_psd", [[2.0, 0.0], [0.0, 1.0]], lambda a: sqrt_psd(a), None),
+    ("row_space_projector", [[1.0, 0.0]], lambda a: row_space_projector(a), None),
+    ("orthonormal_columns", [[1.0], [0.0]], lambda a: orthonormal_columns(a), None),
+    ("invertible_left_factor", [[1.0, 0.0], [0.0, 1.0]], lambda a: invertible_left_factor(a), None),
+    ("lu_min_pivot", [[1.0, 0.0], [0.0, 1.0]], lambda a: lu_min_pivot(a), None),
+    ("extended_projection_delta.basis", [[1.0, 0.0, 0.0]],
+     lambda a: extended_projection_delta(a, [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]), None),
+    ("extended_projection_delta.x", [0.0, 1.0, 0.0],
+     lambda a: extended_projection_delta([[1.0, 0.0, 0.0]], a, [1.0, 1.0, 1.0]),
+     "x has dim 4 but y has dim 3"),
+    ("extended_projection_delta.y", [1.0, 1.0, 1.0],
+     lambda a: extended_projection_delta([[1.0, 0.0, 0.0]], [0.0, 1.0, 0.0], a),
+     "x has dim 3 but y has dim 4"),
+    ("partial_out_identity_check", [0.1, 0.2, 0.3], lambda a: partial_out_identity_check(_G3, a),
+     "state has dim 4 but the law lives on R^3"),
+)
+
+
+@pytest.mark.parametrize("name, valid, call, size_msg", ADMITTED, ids=[row[0] for row in ADMITTED])
+def test_every_array_argument_is_admitted_by_one_rule(name, valid, call, size_msg):
+    # A non-finite entry, text (also text that reads as a number) and a ragged list
+    # are InvalidInput at every entry point; one entry too many is a DimError.
+    call(valid)
+    good = np.array(valid, dtype=float)
+    bad_args = [np.where(np.arange(good.size).reshape(good.shape) == 0, bad, good)
+                for bad in (math.nan, math.inf, -math.inf)]
+    bad_args += ["a", good.astype(str).tolist(), [[1.0], [1.0, 2.0]]]
+    for bad in bad_args:
+        with pytest.raises(InvalidInput):
+            call(bad)
+    if size_msg is not None:
+        with pytest.raises(DimError, match=re.escape(size_msg)):
+            call(list(valid) + [0.0])
+
+
+@pytest.mark.parametrize("loader, wrap", ((load_vector, lambda row: row), (load_matrix, lambda row: [row])))
+def test_loaded_arrays_are_admitted_by_the_same_rule(tmp_path, loader, wrap):
+    _from_file(tmp_path, loader, wrap([0.5, 1.0]))
+    for bad in ([math.nan, 1.0], [-math.inf, 1.0], ["a", 1.0], ["0.5", "1.0"], [[0.5], [0.5, 1.0]]):
+        with pytest.raises(InvalidInput, match="arg.json: "):
+            _from_file(tmp_path, loader, wrap(bad))
+
+
+def test_products_past_the_float_limit_are_rejected_without_a_warning():
+    # Each is a finite problem whose product or tolerance overflows: no raw
+    # OverflowError, no wrong verdict and no RuntimeWarning before the refusal.
+    tiny = _law([0.0, 0.0], np.diag([1e-300, 1.0]))
+    big, unit = np.array([[1e160, 0.0]]), _law([0.0, 0.0], np.eye(2))
+    for call in (lambda: pushforward(tiny, big), lambda: joint(tiny, big, [[0.0, 1.0]]),
+                 lambda: independence_test(unit, big, big),
+                 lambda: char_fn(_law([1e300, -1e300], np.zeros((2, 2))), [1e10, 1e10]),
+                 lambda: ginv_condition(unit, [[1e200, 0.0]], [1.0]),
+                 lambda: endomorphism_reduction([[1e200, 0.0]])):
+        with pytest.raises(InvalidInput):
+            call()
+
+
+def test_char_fn_is_zero_where_only_the_quadratic_form_overflows():
+    assert char_fn(_law([0.0, 0.0], np.eye(2)), [1e200, 1e200]) == 0j
 
 
 def test_negative_seed_and_no_trials_are_rejected(tmp_path):

@@ -113,7 +113,7 @@ class TestEigSym:
             eig_sym(np.diag([2.0, 1.0, 0.5]) * s)
 
     @pytest.mark.parametrize(
-        "solve", (eig_sym, lambda a: _psd_clamped(a, None, 0.0, 1)), ids=("eig_sym", "psd_clamped")
+        "solve", (eig_sym, lambda a: _psd_clamped(a, None, 0.0)), ids=("eig_sym", "psd_clamped")
     )
     def test_lost_orthonormality_rejected(self, solve, monkeypatch):
         # Eigenvectors returned 10% long fail the Gram certificate, also on
