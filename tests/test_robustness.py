@@ -269,14 +269,17 @@ def test_repeated_rows_leave_the_law_unchanged(seed, graded):
     assert maxabs(state - ref_state) <= 1e-9 * (1.0 + maxabs(ref_state))
 
 
-def test_covariance_near_the_float_limit_is_rejected_cleanly(tmp_path):
-    # ||D^(1/2)||_F^2 = trace D exceeds the float range, so no roundoff floor
-    # can be stated for the conditional covariance: InvalidInput, CLI exit 2,
-    # never a bare OverflowError. The lift and the split need no such floor.
+def test_covariance_near_the_float_limit_is_conditioned_exactly(tmp_path, capsys):
+    # ||D^(1/2)||_F^2 = trace D exceeds the float range, but the law is built from its
+    # factor, whose squared singular values stay below lambda_max(D): the exact law,
+    # from the library and the CLI alike, with no refusal and no RuntimeWarning.
+    # The one eigenvalue G keeps is read as (lambda^(1/2))^2, within an ulp of lambda.
     g = _law([0.0, 0.0], np.diag([1.7e308, 1.7e308]))
     t = np.array([[1.0, 0.0]])
-    with pytest.raises(InvalidInput):
-        condition(g, t)
+    law = condition(g, t)
+    assert np.array_equal(law.gain, np.diag([1.0, 0.0]))
+    assert np.array_equal(law.cov.entries != 0.0, np.diag([False, True]))
+    assert abs(law.cov.entries[1, 1] - 1.7e308) <= np.spacing(1.7e308)
     assert maxabs(lift_observation(g, t, [2.0]) - [2.0, 0.0]) <= 1e-12
     assert maxabs(decompose(g, t).independent_map - np.diag([0.0, 1.0])) <= 1e-12
     paths = []
@@ -284,7 +287,13 @@ def test_covariance_near_the_float_limit_is_rejected_cleanly(tmp_path):
                       ("t", t.tolist()), ("y", [2.0])):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
         paths.append(str(tmp_path / f"{name}.json"))
-    assert main(["condition", *paths]) == 2
+    capsys.readouterr()
+    assert main(["condition", *paths]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["mean"] == [2.0, 0.0] and out["cov"] == law.cov.entries.tolist()
+    assert main(["condition", *paths[:2], "--law-only"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["gain"] == [[1.0, 0.0], [0.0, 0.0]] and out["cov"] == law.cov.entries.tolist()
 
 
 @pytest.mark.parametrize("strict", (False, True))
@@ -530,6 +539,24 @@ def test_char_fn_is_zero_where_only_the_quadratic_form_overflows():
     assert char_fn(_law([0.0, 0.0], np.eye(2)), [1e200, 1e200]) == 0j
 
 
+def test_char_fn_keeps_modulus_one_on_a_roundoff_negative_eigenvalue():
+    # The gate admits the eigenvalue -1e-14 as roundoff, so <t, D t> = -1e4 along its
+    # eigenvector: read as 0, the value keeps modulus 1 instead of exp(5e3) overflowing.
+    q = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+    g = _law([0.0, 0.0], (q * [1.0, -1e-14]) @ q.T)
+    assert char_fn(g, 1e9 * q[:, 1]) == 1.0
+
+
+def test_anova_check_near_the_float_limit_stays_finite():
+    # K D K^T = diag(1e308, 0): averaged halves first, its symmetrization stays finite,
+    # with no RuntimeWarning. D's eigenvalue 1 sits below its rank cut, 200 eps 1e308,
+    # so T observes all of range(D), G is exact zeros and the residual is that 1.
+    report = anova_check(_law([0.0, 0.0], np.diag([1e308, 1.0])), [[1.0, 0.0]])
+    assert np.array_equal(report.cov_of_mean, np.diag([1e308, 0.0]))
+    assert np.array_equal(report.e_cov_given, np.zeros((2, 2)))
+    assert report.residual == 1.0
+
+
 def test_negative_seed_and_no_trials_are_rejected(tmp_path):
     g = _law(BIVARIATE["mean"], BIVARIATE["cov"])
     calls = [lambda: sample(g, 1, -1), lambda: run_suite("spectral", 1, -1),
@@ -566,6 +593,32 @@ def test_power_of_two_units_rescale_every_output_exactly(k, j):
         assert np.array_equal(lift_s, lift * 2.0**k), seed
         assert np.array_equal(dec_s.affine_gain, dec.affine_gain * 2.0**-j), seed
         assert np.array_equal(dec_s.affine_offset, dec.affine_offset * 2.0**k), seed
+
+
+def test_laws_scaled_up_to_the_float_limit_are_exact():
+    # The draws above with D scaled by the largest 4^j that keeps lambda_max(D) 4^j
+    # within 2^1022: every entry point returns, and the law scaled back by 4^-j is
+    # the unit-scale law within rounding. No roundoff floor of the size of
+    # ||D^(1/2)||_F^2, which may overflow here, refuses a finite law.
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        g, t = random_conditioning_instance(rng) if seed % 2 == 0 else random_graded_instance(rng)
+        lam = float(g.cov.decomposition().eigenvalues[0])
+        if lam == 0.0:
+            continue
+        j = (1022 - math.frexp(lam)[1]) // 2
+        while np.ldexp(lam, 2 * j + 2) <= 2.0**1022:
+            j += 1
+        gs = _law(g.mean, np.ldexp(g.cov.entries, 2 * j))
+        law, law_s = condition(g, t), condition(gs, t)
+        y = sample(gs, 1, seed)[0]
+        lift_observation(gs, t, t @ y)
+        evaluate(law_s, y)
+        decompose(gs, t)
+        anova_check(gs, t)
+        assert maxabs(law_s.gain - law.gain) <= 1e-10 * max(1.0, maxabs(law.gain)), seed
+        g_max = max(1.0, maxabs(law.cov.entries))
+        assert maxabs(np.ldexp(law_s.cov.entries, -2 * j) - law.cov.entries) <= 1e-10 * g_max, seed
 
 
 @pytest.mark.parametrize("k", (-215, -300, -480))
